@@ -4,11 +4,9 @@
 //! cargo run -p prosper-analysis --bin prosper-interleave [-- --json] [--skip-self-test]
 //! ```
 //!
-//! Explores every bounded-preemption schedule of the modelled commit
-//! protocol at 1, 2, and 4 workers — in both the classic
-//! stage/seal/apply form and the PR-7 pipelined form where stage(N+1)
-//! overlaps apply(N) — and reports races, commit-order violations,
-//! and deadlocks. By default it also runs the
+//! Explores every bounded-preemption schedule of the modelled
+//! stage/seal/apply commit protocol at 1, 2, and 4 workers and
+//! reports races, commit-order violations, and deadlocks. By default it also runs the
 //! *self-test*: each deliberately seeded protocol bug must be
 //! detected, proving the checker has teeth. Exits nonzero when a
 //! correct configuration has findings, or when a seeded bug goes
@@ -33,7 +31,6 @@ fn correct_configs() -> Vec<RunSpec> {
                 workers: 1,
                 stacks: 4,
                 sequences: 2,
-                pipelined: false,
                 bug: Bug::None,
             },
             bound: 2,
@@ -43,7 +40,6 @@ fn correct_configs() -> Vec<RunSpec> {
                 workers: 2,
                 stacks: 4,
                 sequences: 2,
-                pipelined: false,
                 bug: Bug::None,
             },
             bound: 1,
@@ -53,54 +49,6 @@ fn correct_configs() -> Vec<RunSpec> {
                 workers: 4,
                 stacks: 4,
                 sequences: 1,
-                pipelined: false,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // The PR-7 pipelined protocol: stage(N+1) overlaps apply(N).
-        // Two sequences so the overlap window actually opens.
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 1,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 2,
-        },
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 2,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // Widest exhaustive overlap-window exploration: 3 workers
-        // with uneven chunks. (4 workers x 2 sequences exceeds the
-        // schedule cap even at bound 0.)
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 3,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // The 4-worker pipelined path for a single burst: the final
-        // drain join replaces the per-sequence apply join.
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 4,
-                stacks: 4,
-                sequences: 1,
-                pipelined: true,
                 bug: Bug::None,
             },
             bound: 1,
@@ -116,9 +64,6 @@ fn bug_configs() -> Vec<RunSpec> {
                 workers: 2,
                 stacks: 2,
                 sequences: 2,
-                // StageBeforePriorSeal only exists on the pipelined
-                // path; the other seeds break the classic protocol.
-                pipelined: bug == Bug::StageBeforePriorSeal,
                 bug,
             },
             bound: 1,
@@ -140,12 +85,11 @@ fn run_spec(spec: &RunSpec) -> ExploreReport {
 
 fn describe(spec: &RunSpec, report: &ExploreReport) -> String {
     format!(
-        "workers={} stacks={} sequences={} pipelined={} bug={} bound={}: {} schedule(s), \
+        "workers={} stacks={} sequences={} bug={} bound={}: {} schedule(s), \
          {} race(s), {} order violation(s), {} deadlock(s){}",
         spec.cfg.workers,
         spec.cfg.stacks,
         spec.cfg.sequences,
-        spec.cfg.pipelined,
         spec.cfg.bug.name(),
         spec.bound,
         report.schedules,
@@ -163,8 +107,6 @@ fn json_entry(out: &mut String, spec: &RunSpec, report: &ExploreReport, ok: bool
     out.push_str(&spec.cfg.stacks.to_string());
     out.push_str(",\"sequences\":");
     out.push_str(&spec.cfg.sequences.to_string());
-    out.push_str(",\"pipelined\":");
-    out.push_str(if spec.cfg.pipelined { "true" } else { "false" });
     out.push_str(",\"bug\":");
     json_string(out, spec.cfg.bug.name());
     out.push_str(",\"schedules\":");

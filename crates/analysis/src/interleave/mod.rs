@@ -1,7 +1,7 @@
 //! Miniature loom-style concurrency checker for the parallel commit
 //! protocol.
 //!
-//! The real `commit_with_workers` path in `prosper-core` fans stage
+//! The real commit engine (`commit_with`) in `prosper-core` fans stage
 //! and apply work out to scoped threads around a serial seal. Its
 //! correctness argument rests on a handful of ordering invariants
 //! (see [`order`]): the seal is the single commit point, stage and

@@ -1,7 +1,7 @@
 //! A faithful synchronization skeleton of the parallel commit
 //! protocol, plus deliberately seeded bugs.
 //!
-//! Thread layout mirrors `commit_with_workers` in
+//! Thread layout mirrors the commit engine (`commit_with`) in
 //! `crates/core/src/recovery.rs`:
 //!
 //! * thread `0` — the **coordinator**: quiescence handshake, bitmap
@@ -90,15 +90,8 @@ pub enum Bug {
     /// quiescence handshake: a torn bitmap read/clear race.
     SkipQuiesceHandshake,
     /// The coordinator starts the next sequence without waiting for
-    /// apply completion: commit sequences overlap. In the pipelined
-    /// program this drops the apply-drain edge in front of the next
-    /// seal — the sharpened invariant's second half.
+    /// apply completion: commit sequences overlap.
     OverlappedSequences,
-    /// Pipelined-only: the coordinator opens the next sequence's
-    /// stage gate *before* this sequence's seal, so workers can stage
-    /// N+1 buffers while N is still discardable — the sharpened
-    /// invariant's first half.
-    StageBeforePriorSeal,
 }
 
 impl Bug {
@@ -108,7 +101,6 @@ impl Bug {
         Bug::SharedApplyCursor,
         Bug::SkipQuiesceHandshake,
         Bug::OverlappedSequences,
-        Bug::StageBeforePriorSeal,
     ];
 
     /// Short stable name for reports.
@@ -120,7 +112,6 @@ impl Bug {
             Bug::SharedApplyCursor => "shared-apply-cursor",
             Bug::SkipQuiesceHandshake => "skip-quiesce-handshake",
             Bug::OverlappedSequences => "overlapped-sequences",
-            Bug::StageBeforePriorSeal => "stage-before-prior-seal",
         }
     }
 }
@@ -134,10 +125,6 @@ pub struct CommitConfig {
     pub stacks: usize,
     /// Number of back-to-back commit sequences.
     pub sequences: u64,
-    /// Model the PR-7 pipelined protocol: the coordinator defers the
-    /// apply join, so stage(N+1) legally overlaps apply(N); seal(N+1)
-    /// still waits for apply(N) to drain.
-    pub pipelined: bool,
     /// Which protocol edge, if any, to break.
     pub bug: Bug,
 }
@@ -295,61 +282,12 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
                 ..Step::default()
             });
         }
-        if cfg.pipelined && s > 0 {
-            // The seal seeded away by StageBeforePriorSeal lands
-            // here: only after the next sequence finished staging —
-            // the commit point drifted behind the staged-ahead work.
-            if cfg.bug == Bug::StageBeforePriorSeal {
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Seal { seq: s - 1 }),
-                    label: "coordinator: late seal of prior sequence (bug)",
-                    ..Step::default()
-                });
-            }
-            // Sharpened invariant, second half: the next seal waits
-            // for the prior sequence's drain window to close — the
-            // apply join plus the record retire. OverlappedSequences
-            // drops both: it seals ahead with the predecessor's
-            // cleanup outstanding (the retire lands after the seal,
-            // below).
-            if cfg.bug != Bug::OverlappedSequences {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s - 1),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: drain prior apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s - 1 }),
-                    label: "coordinator: retire prior record",
-                    ..Step::default()
-                });
-            }
-        }
-        let defer_seal =
-            cfg.pipelined && cfg.bug == Bug::StageBeforePriorSeal && s + 1 < cfg.sequences;
-        if !defer_seal {
-            threads[coordinator].push(Step {
-                accesses: vec![Access::Write(locs.record())],
-                event: Some(OrderEvent::Seal { seq: s }),
-                label: "coordinator: serial seal",
-                ..Step::default()
-            });
-        }
-        if cfg.pipelined && s > 0 && cfg.bug == Bug::OverlappedSequences {
-            // The dropped drain edge: the prior record retires only
-            // after this sequence already sealed.
-            threads[coordinator].push(Step {
-                accesses: vec![Access::Write(locs.record())],
-                event: Some(OrderEvent::Retire { seq: s - 1 }),
-                label: "coordinator: late retire of prior record (bug)",
-                ..Step::default()
-            });
-        }
+        threads[coordinator].push(Step {
+            accesses: vec![Access::Write(locs.record())],
+            event: Some(OrderEvent::Seal { seq: s }),
+            label: "coordinator: serial seal",
+            ..Step::default()
+        });
         threads[coordinator].push(Step {
             sync: Some(SyncAction::Release(Syncs::resume(s))),
             label: "coordinator: resume mutator",
@@ -360,45 +298,22 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
             label: "coordinator: start apply",
             ..Step::default()
         });
-        if cfg.pipelined {
-            // Pipelined: no apply join here — the next iteration's
-            // stage legally overlaps this apply's drain. The drain is
-            // joined just before the *next* seal (above), or after
-            // the loop for the final sequence.
-            if s + 1 == cfg.sequences {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: join final apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s }),
-                    label: "coordinator: retire record",
-                    ..Step::default()
-                });
-            }
-        } else {
-            let overlap = cfg.bug == Bug::OverlappedSequences && s + 1 < cfg.sequences;
-            if !overlap {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: join apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s }),
-                    label: "coordinator: retire record",
-                    ..Step::default()
-                });
-            }
+        let overlap = cfg.bug == Bug::OverlappedSequences && s + 1 < cfg.sequences;
+        if !overlap {
+            threads[coordinator].push(Step {
+                sync: Some(SyncAction::Acquire {
+                    sync: Syncs::apply_done(s),
+                    need: cfg.workers as u64,
+                }),
+                label: "coordinator: join apply",
+                ..Step::default()
+            });
+            threads[coordinator].push(Step {
+                accesses: vec![Access::Write(locs.record())],
+                event: Some(OrderEvent::Retire { seq: s }),
+                label: "coordinator: retire record",
+                ..Step::default()
+            });
         }
 
         // Workers.
@@ -497,7 +412,6 @@ mod tests {
             workers: 2,
             stacks: 2,
             sequences: 1,
-            pipelined: false,
             bug: Bug::None,
         });
         assert_eq!(p.threads.len(), 4);
@@ -511,58 +425,14 @@ mod tests {
         assert_eq!(seals, 1);
     }
 
-    /// The pipelined coordinator releases the next sequence's stage
-    /// gate before joining the prior apply — the structural overlap —
-    /// while still sealing exactly once per sequence.
-    #[test]
-    fn pipelined_program_defers_the_apply_join() {
-        let p = commit_program(&CommitConfig {
-            workers: 2,
-            stacks: 2,
-            sequences: 2,
-            pipelined: true,
-            bug: Bug::None,
-        });
-        let labels: Vec<&str> = p.threads[0].iter().map(|s| s.label).collect();
-        let second_stage_go = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == "coordinator: start stage")
-            .nth(1)
-            .map(|(i, _)| i)
-            .expect("two sequences start staging");
-        let drain = labels
-            .iter()
-            .position(|l| *l == "coordinator: drain prior apply")
-            .expect("the prior apply is drained before the next seal");
-        assert!(
-            second_stage_go < drain,
-            "stage(1) must open before apply(0) is joined: {labels:?}"
-        );
-        let seals = p.threads[0]
-            .iter()
-            .filter(|s| matches!(s.event, Some(OrderEvent::Seal { .. })))
-            .count();
-        assert_eq!(seals, 2);
-        let retires = p.threads[0]
-            .iter()
-            .filter(|s| matches!(s.event, Some(OrderEvent::Retire { .. })))
-            .count();
-        assert_eq!(retires, 2);
-    }
-
     #[test]
     fn bugged_programs_differ_from_correct() {
         for &bug in Bug::ALL {
-            // StageBeforePriorSeal only exists on the pipelined path;
-            // a step-count diff cannot see its reordering, so compare
-            // the full per-thread (label, access-count) shape.
-            let pipelined = bug == Bug::StageBeforePriorSeal;
+            // Compare the full per-thread (label, access-count) shape.
             let cfg = |bug| CommitConfig {
                 workers: 2,
                 stacks: 2,
                 sequences: 2,
-                pipelined,
                 bug,
             };
             let shape = |prog: &Program| {

@@ -107,13 +107,13 @@ pub enum OrderViolation {
         /// Offending sequence.
         seq: u64,
     },
-    /// A later sequence staged before the earlier sequence's seal:
-    /// the staged-ahead buffers would belong to a sequence whose
-    /// predecessor can still be discarded wholesale. (Staging *after*
-    /// the prior seal, while the prior apply drains, is the legal
-    /// pipelined overlap.)
-    StageBeforePriorSeal {
-        /// The not-yet-sealed earlier sequence.
+    /// A later sequence staged before the earlier sequence's record
+    /// retired: commits overlap. Each stack has one staging buffer, so
+    /// staging the later sequence while the earlier one can still be
+    /// discarded wholesale (before its seal) or is still being applied
+    /// (before its retire) reuses a buffer the earlier commit needs.
+    StageBeforePriorRetire {
+        /// The not-yet-retired earlier sequence.
         earlier: u64,
         /// The prematurely staged later sequence.
         later: u64,
@@ -188,14 +188,14 @@ impl fmt::Display for OrderViolation {
             OrderViolation::RetireBeforeApply { seq } => {
                 write!(f, "sequence {seq} retired before all applies finished")
             }
-            OrderViolation::StageBeforePriorSeal {
+            OrderViolation::StageBeforePriorRetire {
                 earlier,
                 later,
                 tid,
             } => {
                 write!(
                     f,
-                    "stack {tid} staged for sequence {later} before sequence {earlier} sealed"
+                    "stack {tid} staged for sequence {later} before sequence {earlier} retired"
                 )
             }
             OrderViolation::SealBeforePriorApplyDone { earlier, later } => {
@@ -298,31 +298,29 @@ pub fn check_order(events: &[OrderEvent]) -> Vec<OrderViolation> {
         }
     }
 
-    // The sharpened cross-sequence invariant (PR 7). The pipelined
-    // commit makes one overlap *legal*: stage(N+1) may run inside
-    // apply(N)'s drain window — hiding the next stage behind the
-    // drain is the pipeline's entire win. What stays forbidden is
-    // sharpened accordingly: no stage(N+1) before seal(N) (the
-    // staged-ahead buffers would outlive a discardable predecessor),
-    // and no seal(N+1) before apply(N) fully drains (the new commit
-    // point would land on half-applied predecessor state). Everything
-    // else — apply(N+1), retire(N+1) — is transitively ordered
-    // through its own seal by the per-sequence checks above.
+    // Cross-sequence invariants: commits never overlap. No stage(N+1)
+    // before retire(N) — the next commit reuses each stack's single
+    // staging buffer only once the previous record is gone — and no
+    // seal(N+1) before apply(N) fully drains (the new commit point
+    // would land on half-applied predecessor state). Everything else
+    // — apply(N+1), retire(N+1) — is transitively ordered through its
+    // own seal by the per-sequence checks above.
     for window in seqs.windows(2) {
         let (earlier, later) = (window[0], window[1]);
-        let seal_earlier = events
+        let committing = events.iter().any(|e| {
+            matches!(e, OrderEvent::Stage { seq: s, .. } | OrderEvent::Seal { seq: s } if *s == earlier)
+        });
+        let retire_at = events
             .iter()
-            .position(|e| matches!(e, OrderEvent::Seal { seq: s } if *s == earlier));
-        if let Some(se) = seal_earlier {
-            for e in events.iter().take(se) {
-                if let OrderEvent::Stage { seq: s, tid } = *e {
-                    if s == later {
-                        out.push(OrderViolation::StageBeforePriorSeal {
-                            earlier,
-                            later,
-                            tid,
-                        });
-                    }
+            .position(|e| matches!(e, OrderEvent::Retire { seq: s } if *s == earlier));
+        for (i, e) in events.iter().enumerate() {
+            if let OrderEvent::Stage { seq: s, tid } = *e {
+                if committing && s == later && retire_at.is_none_or(|r| i < r) {
+                    out.push(OrderViolation::StageBeforePriorRetire {
+                        earlier,
+                        later,
+                        tid,
+                    });
                 }
             }
         }
@@ -437,30 +435,44 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_overlap_after_prior_seal_is_legal() {
-        // PR 7: sequence 2 stages inside sequence 1's apply drain —
-        // after seal(1), before retire(1). This was a violation under
-        // the pre-pipeline checker and is the legal overlap now.
+    fn stage_after_prior_retire_is_legal() {
+        let mut t = good_trace();
+        t.push(OrderEvent::Stage { seq: 2, tid: 0 });
+        t.push(OrderEvent::Seal { seq: 2 });
+        t.push(OrderEvent::Apply { seq: 2, tid: 0 });
+        t.push(OrderEvent::Retire { seq: 2 });
+        let v = check_order(&t);
+        assert!(v.is_empty(), "back-to-back commits rejected: {v:?}");
+    }
+
+    #[test]
+    fn detects_stage_inside_prior_apply_drain() {
+        // Sequence 2 stages after seal(1) but before retire(1), while
+        // sequence 1 still applies from the stack's one staging buffer.
         let mut t = good_trace();
         t.insert(5, OrderEvent::Stage { seq: 2, tid: 0 });
         t.push(OrderEvent::Seal { seq: 2 });
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.is_empty(), "legal pipelined overlap rejected: {v:?}");
+        assert!(v.contains(&OrderViolation::StageBeforePriorRetire {
+            earlier: 1,
+            later: 2,
+            tid: 0
+        }));
     }
 
     #[test]
     fn detects_stage_before_prior_seal() {
-        // The sharpened boundary: the same staged-ahead work becomes a
-        // violation the moment it slides before seal(1).
+        // Sliding the same stage further back, before seal(1), is the
+        // same violation.
         let mut t = good_trace();
         t.insert(2, OrderEvent::Stage { seq: 2, tid: 0 });
         t.push(OrderEvent::Seal { seq: 2 });
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.contains(&OrderViolation::StageBeforePriorSeal {
+        assert!(v.contains(&OrderViolation::StageBeforePriorRetire {
             earlier: 1,
             later: 2,
             tid: 0

@@ -8,32 +8,10 @@ use prosper_analysis::interleave::{
 };
 
 fn run(workers: usize, stacks: usize, sequences: u64, bug: Bug, bound: usize) -> ExploreReport {
-    run_model(workers, stacks, sequences, bug, bound, false)
-}
-
-fn run_pipelined(
-    workers: usize,
-    stacks: usize,
-    sequences: u64,
-    bug: Bug,
-    bound: usize,
-) -> ExploreReport {
-    run_model(workers, stacks, sequences, bug, bound, true)
-}
-
-fn run_model(
-    workers: usize,
-    stacks: usize,
-    sequences: u64,
-    bug: Bug,
-    bound: usize,
-    pipelined: bool,
-) -> ExploreReport {
     let program = commit_program(&CommitConfig {
         workers,
         stacks,
         sequences,
-        pipelined,
         bug,
     });
     let report = explore(
@@ -122,7 +100,7 @@ fn skipped_quiescence_handshake_is_caught() {
 fn overlapped_sequences_are_caught() {
     // Without the apply join, the coordinator seals sequence N+1 with
     // sequence N's drain window (apply join + record retire) still
-    // open — the sharpened invariant's second half.
+    // open.
     let r = run(2, 2, 2, Bug::OverlappedSequences, 1);
     assert!(
         r.order_violations
@@ -133,44 +111,9 @@ fn overlapped_sequences_are_caught() {
 }
 
 #[test]
-fn pipelined_commit_is_clean_at_every_worker_count() {
-    // PR 7 acceptance: the pipelined protocol — stage(N+1) overlapping
-    // apply(N) behind seal(N) — explores clean at 1, 2, and 4 workers.
-    // Two sequences keep the overlap window open at 1 and 2 workers;
-    // at 4 workers the two-sequence schedule space exceeds the cap,
-    // so the 4-worker run covers a single pipelined burst (the final
-    // drain join) and the prosper-interleave binary adds a 3-worker
-    // two-sequence sweep in release mode.
-    for (workers, sequences, bound) in [(1, 2, 2), (2, 2, 1), (4, 1, 1)] {
-        let r = run_pipelined(workers, 4, sequences, Bug::None, bound);
-        assert!(r.schedules > 0);
-        assert!(
-            r.is_clean(),
-            "findings in correct pipelined {workers}-worker protocol: {r:?}"
-        );
-    }
-}
-
-#[test]
-fn stage_before_prior_seal_is_caught() {
-    // The pipelined-only seed: the commit point drifts behind the
-    // staged-ahead work, violating the sharpened invariant's first
-    // half (no stage(N+1) before seal(N)).
-    let r = run_pipelined(2, 2, 2, Bug::StageBeforePriorSeal, 1);
-    assert!(
-        r.order_violations
-            .iter()
-            .any(|(v, _)| matches!(v, OrderViolation::StageBeforePriorSeal { .. })),
-        "stage-before-prior-seal not detected: {r:?}"
-    );
-}
-
-#[test]
 fn every_seeded_bug_is_detected() {
     for &bug in Bug::ALL {
-        // StageBeforePriorSeal only exists on the pipelined path.
-        let pipelined = bug == Bug::StageBeforePriorSeal;
-        let r = run_model(2, 2, 2, bug, 1, pipelined);
+        let r = run(2, 2, 2, bug, 1);
         assert!(
             !r.is_clean(),
             "seeded bug {} went undetected across {} schedules",

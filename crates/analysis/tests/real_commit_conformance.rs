@@ -3,8 +3,8 @@
 //!
 //! The model explorer (see `interleave_explorer.rs`) proves the
 //! protocol *design* safe; this suite ties the design to the
-//! implementation: `CommitProbe` logs recorded inside
-//! `PersistentProcess::commit_with_workers_probed` are mapped onto
+//! implementation: `CommitProbe` logs recorded as the observer of the
+//! commit engine (`PersistentProcess::commit_with`) are mapped onto
 //! the same `OrderEvent` trace format and checked with the same
 //! `check_order` — one checker, two witnesses.
 
@@ -61,24 +61,13 @@ fn probe_commit(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        p.commit_with_workers_probed(&runs, workers, Some(&probe));
+        p.commit_with(&runs, workers, &probe).unwrap();
     }
     to_trace(&probe.events())
 }
 
-/// Drives the real pipelined burst (`commit_pipelined_attributed`)
-/// and returns its probe stream as a checker trace.
-fn probe_pipelined(threads: u32, workers: usize, batches: usize) -> Vec<OrderEvent> {
-    let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
-    let runs = full_runs(&p, threads);
-    let batches: Vec<_> = (0..batches).map(|_| runs.clone()).collect();
-    let probe = CommitProbe::new();
-    p.commit_pipelined_attributed(&batches, workers, Some(&probe), None);
-    to_trace(&probe.events())
-}
-
-/// Drives the real staged-delta-spine commit (`commit_attributed` on
-/// a spine-configured process) and returns its probe stream.
+/// Drives the real staged-delta-spine commit (the engine on a
+/// spine-configured process) and returns its probe stream.
 fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new_with_spine(
         &ranges(u64::from(threads)),
@@ -87,7 +76,7 @@ fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        p.commit_attributed(&runs, workers, Some(&probe), None);
+        p.commit_with(&runs, workers, &probe).unwrap();
     }
     to_trace(&probe.events())
 }
@@ -168,48 +157,10 @@ fn real_commit_trace_has_single_seal_per_sequence() {
 }
 
 #[test]
-fn real_pipelined_commit_conforms_and_overlaps() {
-    // PR 7: the pipelined burst's probe stream passes the sharpened
-    // checker at every worker count, and the stream witnesses the
-    // overlap itself — stage(N+1) lands inside apply(N)'s drain
-    // window, before retire(N).
-    for &workers in &[1usize, 2, 4] {
-        let trace = probe_pipelined(4, workers, 3);
-        // Per batch: 4 stages + 1 seal + 4 applies + 1 retire.
-        assert_eq!(trace.len(), 30, "workers={workers}: unexpected event count");
-        let violations = check_order(&trace);
-        assert!(
-            violations.is_empty(),
-            "workers={workers}: pipelined commit violated protocol order: \
-             {violations:?}\ntrace: {trace:?}"
-        );
-        let second_seq = trace
-            .iter()
-            .map(OrderEvent::seq)
-            .filter(|s| *s > trace[0].seq())
-            .min()
-            .expect("burst commits more than one sequence");
-        let first_stage_n1 = trace
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Stage { seq, .. } if *seq == second_seq))
-            .expect("sequence N+1 stages");
-        let retire_n = trace
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Retire { seq } if *seq == second_seq - 1))
-            .expect("sequence N retires");
-        assert!(
-            first_stage_n1 < retire_n,
-            "workers={workers}: stage(N+1) should land inside apply(N)'s \
-             drain window: {trace:?}"
-        );
-    }
-}
-
-#[test]
-fn checker_rejects_pipelined_stage_before_prior_seal_forgery() {
-    // Slide a genuine staged-ahead event back past the prior seal:
-    // the sharpened invariant's first half must catch exactly this.
-    let mut trace = probe_pipelined(2, 2, 2);
+fn checker_rejects_stage_before_prior_seal_forgery() {
+    // Slide a genuine stage of sequence N+1 back past seal(N): commits
+    // never overlap, so the stricter rule must reject it.
+    let mut trace = probe_commit(2, 2, 2);
     assert!(check_order(&trace).is_empty());
     let second_seq = trace
         .iter()
@@ -232,9 +183,40 @@ fn checker_rejects_pipelined_stage_before_prior_seal_forgery() {
     assert!(
         violations.iter().any(|v| matches!(
             v,
-            prosper_analysis::interleave::OrderViolation::StageBeforePriorSeal { .. }
+            prosper_analysis::interleave::OrderViolation::StageBeforePriorRetire { .. }
         )),
         "checker accepted a stage-before-prior-seal forgery: {violations:?}"
+    );
+}
+
+#[test]
+fn checker_rejects_stage_inside_prior_apply_drain_forgery() {
+    // Slide a genuine stage of sequence N+1 into sequence N's apply
+    // drain — after seal(N), before retire(N) — and the no-overlap
+    // rule must reject it.
+    let mut trace = probe_commit(2, 2, 2);
+    let first = trace[0].seq();
+    let retire_n = trace
+        .iter()
+        .position(|e| matches!(e, OrderEvent::Retire { seq } if *seq == first))
+        .expect("sequence N retires");
+    let stage_n1 = trace
+        .iter()
+        .position(|e| matches!(e, OrderEvent::Stage { seq, .. } if *seq == first + 1))
+        .expect("sequence N+1 stages");
+    assert!(
+        retire_n < stage_n1,
+        "genuine trace stages N+1 after retire(N)"
+    );
+    let ev = trace.remove(stage_n1);
+    trace.insert(retire_n, ev); // after seal(N) and apply(N), before retire(N)
+    let violations = check_order(&trace);
+    assert!(
+        violations.iter().any(|v| matches!(
+            v,
+            prosper_analysis::interleave::OrderViolation::StageBeforePriorRetire { .. }
+        )),
+        "checker accepted a stage-inside-drain forgery: {violations:?}"
     );
 }
 

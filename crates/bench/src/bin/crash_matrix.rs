@@ -58,8 +58,12 @@ fn main() -> ExitCode {
     let mut any_failed = false;
     for row in &rows {
         println!(
-            "[{}] threads={} intervals={} stores/interval={}",
-            row.label, row.cfg.threads, row.cfg.intervals, row.cfg.stores_per_interval
+            "[{}] threads={} intervals={} stores/interval={} workers={}",
+            row.label,
+            row.cfg.threads,
+            row.cfg.intervals,
+            row.cfg.stores_per_interval,
+            row.cfg.workers
         );
         println!(
             "  crash points exercised: {:>4}   survived: {:>4}   failed: {}",

@@ -1,7 +1,7 @@
 //! Records the performance baseline.
 //!
 //! Runs the [`prosper_bench::perf`] suite — bitmap-inspection
-//! speedups, parallel-commit scaling (classic and pipelined),
+//! speedups, parallel-commit scaling,
 //! checkpoint-latency percentiles, end-to-end workload runtimes, the
 //! staged-delta spine study, lock-free allocator throughput, and the
 //! staggered-fleet bandwidth-smoothing study — prints the tables, and
@@ -14,8 +14,7 @@
 //! ```
 //!
 //! Exits nonzero if the acceptance gate fails (sparse-stack
-//! inspection speedup < 5x, adaptive pipelined commit below 1.0x
-//! serial on a multi-core host, spine critical-path latency above
+//! inspection speedup < 5x, spine critical-path latency above
 //! eager, spine write amplification not at-or-below eager on every
 //! pattern, lock-free alloc throughput below the serial reference or
 //! degrading with workers on a multi-core host, staggered fleet
@@ -70,16 +69,6 @@ fn main() -> ExitCode {
         s.max_commit_workers, s.commit_speedup_at_max_workers
     );
     println!(
-        "  pipelined adaptive pick: {} worker(s) at {:.2}x serial (gate {})",
-        s.pipelined_adaptive_workers,
-        s.pipelined_adaptive_speedup,
-        if report.pipeline.gate_enforced {
-            "enforced"
-        } else {
-            "skipped: single-core host"
-        }
-    );
-    println!(
         "  checkpoint interval p99: {} cycles",
         s.ckpt_interval_p99_cycles
     );
@@ -104,18 +93,6 @@ fn main() -> ExitCode {
          (gate: strictly lower)",
         s.fleet_staggered_peak_to_mean_milli, s.fleet_aligned_peak_to_mean_milli
     );
-
-    if !report.pipeline.gate_enforced {
-        eprintln!(
-            "\n=========================================================================\n\
-             WARNING: host parallelism is {} — the adaptive pipelined-commit speedup\n\
-             gate was AUTO-SKIPPED (gate_enforced: false in the artifact). This\n\
-             baseline does NOT demonstrate pipelined-commit scaling; re-record it on\n\
-             a multi-core host before treating it as the reference.\n\
-             =========================================================================",
-            report.host_parallelism
-        );
-    }
 
     if !report.alloc.gate_enforced {
         eprintln!(

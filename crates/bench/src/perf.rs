@@ -12,15 +12,10 @@
 //!    reference, reported as granules scanned per second and a
 //!    speedup ratio. The acceptance gate requires ≥ 5× on the
 //!    sparse-stack pattern.
-//! 2. **Parallel commit scaling** — `commit_with_workers` on an
-//!    8-thread process across worker counts, with the telemetry
-//!    per-phase timers (`stage`/`seal`/`apply`) broken out per
-//!    configuration. A companion subsection sweeps the PR 7
-//!    *pipelined* burst (`commit_pipelined_with_workers`, where
-//!    stage(N+1) overlaps apply(N)) over the same worker counts plus
-//!    the adaptive selector's own pick, and gates the adaptive
-//!    configuration at ≥ 1.0× serial — skipped automatically on
-//!    single-core hosts, where no overlap is physically possible.
+//! 2. **Parallel commit scaling** — the commit engine
+//!    (`commit_with`) on an 8-thread process across worker counts,
+//!    with the telemetry per-phase timers (`stage`/`seal`/`apply`)
+//!    broken out per configuration.
 //! 3. **Checkpoint latency** — interval-latency percentiles and
 //!    per-phase cycle timers from the telemetry registry while a
 //!    workload runs under [`ProsperMechanism`].
@@ -65,7 +60,7 @@ use prosper_core::bitmap::reference::SparseDirtyBitmap;
 use prosper_core::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
 use prosper_core::fleet::{CheckpointFleet, FleetConfig};
 use prosper_core::oscomp::ProsperMechanism;
-use prosper_core::recovery::PersistentProcess;
+use prosper_core::recovery::{PersistentProcess, StallLedger};
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_gemos::llalloc::FrameAlloc;
 use prosper_gemos::physmem::{PhysMemory, Pool};
@@ -92,17 +87,12 @@ use crate::scheduler::run_scheduled;
 /// frame-allocator throughput vs the serial reference) and the
 /// `fleet` section (staggered vs aligned NVM bandwidth smoothing),
 /// and tightened the spine write-amplification arms from
-/// reported-only to gated.
+/// reported-only to gated. Reports no longer carry the `pipeline`
+/// section; only records written before it was dropped do.
 pub const SCHEMA: &str = "prosper-perf-baseline/v4";
 
 /// Minimum sparse-stack inspection speedup the baseline must record.
 pub const SPARSE_STACK_GATE: f64 = 5.0;
-
-/// Minimum adaptive pipelined-commit speedup vs serial, enforced only
-/// on hosts where parallelism exists to be won (`host_parallelism >
-/// 1`). The adaptive selector may *pick* serial — then the speedup is
-/// 1.0 by construction — but it must never pick a losing fan-out.
-pub const PIPELINE_GATE: f64 = 1.0;
 
 /// Minimum lock-free-vs-reference alloc/free speedup at one worker:
 /// the lock-free tree must not lose to the mutex-guarded serial
@@ -416,7 +406,7 @@ const STACK_BYTES: u64 = 256 * 1024;
 const RUNS_PER_THREAD: u64 = 64;
 
 /// The shared commit workload: an 8-thread process with full-stack
-/// copy runs per thread (the shape both the classic and the pipelined
+/// copy runs per thread (the shape the commit-scaling study
 /// scaling studies measure).
 fn commit_fixture() -> (PersistentProcess, BTreeMap<u32, Vec<CopyRun>>) {
     let ranges: Vec<VirtRange> = (0..THREADS as u64)
@@ -449,7 +439,7 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Measures `commit_with_workers` across worker counts.
+/// Measures the commit engine across worker counts.
 #[must_use]
 pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
     let (mut process, runs) = commit_fixture();
@@ -457,11 +447,16 @@ pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
     let mut rows = Vec::new();
     let mut serial_mean = 0.0f64;
     for &workers in cfg.commit_workers() {
-        process.commit_with_workers(&runs, workers); // warm-up
+        let mut commit = || {
+            process
+                .commit_with(&runs, workers, &())
+                .expect("the no-op observer never crashes");
+        };
+        commit(); // warm-up
         let before = registry_snapshot();
         let t = Instant::now();
         for _ in 0..iters {
-            process.commit_with_workers(&runs, workers);
+            commit();
         }
         let total_ns = t.elapsed().as_nanos() as u64;
         let delta = registry_snapshot() - before;
@@ -490,127 +485,6 @@ pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
         threads: THREADS,
         runs_per_thread: RUNS_PER_THREAD as usize,
         bytes_per_commit: STACK_BYTES * THREADS as u64,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section 2b: pipelined commit scaling (PR 7)
-// ---------------------------------------------------------------------------
-
-/// One worker-count configuration of the pipelined-burst study.
-#[derive(Clone, Debug, Serialize)]
-pub struct PipelineRow {
-    /// Staging/apply workers used.
-    pub workers: usize,
-    /// Timed bursts.
-    pub iterations: u64,
-    /// Mean whole-burst wall time (ns).
-    pub mean_ns: f64,
-    /// Speedup vs the single-worker (serial) configuration.
-    pub speedup_vs_serial: f64,
-    /// Mean burst wall time from the telemetry histogram
-    /// (`prosper.commit.pipeline.burst_ns`).
-    pub burst_ns_mean: f64,
-}
-
-/// The pipelined commit-scaling study: `commit_pipelined_with_workers`
-/// bursts over the same workload shape as [`CommitSection`], plus the
-/// adaptive selector's own configuration.
-#[derive(Clone, Debug, Serialize)]
-pub struct PipelineSection {
-    /// `available_parallelism()` on the recording host. The speedup
-    /// gate is only meaningful above 1.
-    pub host_parallelism: usize,
-    /// Threads (stacks) in the committed process.
-    pub threads: usize,
-    /// Sequences committed per pipelined burst.
-    pub batches: usize,
-    /// Copy runs supplied per thread per sequence.
-    pub runs_per_thread: usize,
-    /// Bytes staged+applied per sequence across all threads.
-    pub bytes_per_batch: u64,
-    /// Worker count the adaptive selector picked for this burst.
-    pub adaptive_workers: usize,
-    /// Mean burst wall time at the adaptive worker count (ns).
-    pub adaptive_mean_ns: f64,
-    /// Adaptive-configuration speedup vs serial — the gated number.
-    pub adaptive_speedup_vs_serial: f64,
-    /// Whether [`validate`] enforces the [`PIPELINE_GATE`] on this
-    /// report (false on single-core hosts: no overlap is physically
-    /// possible, so the selector correctly picks serial).
-    pub gate_enforced: bool,
-    /// One row per swept worker count.
-    pub rows: Vec<PipelineRow>,
-}
-
-/// Measures pipelined bursts across worker counts and the adaptive
-/// selector's pick.
-///
-/// # Panics
-///
-/// Panics if the swept worker counts do not include the serial
-/// configuration (the speedup denominator).
-#[must_use]
-pub fn pipeline_section(cfg: &PerfConfig) -> PipelineSection {
-    const BATCHES: usize = 3;
-    let (mut process, runs) = commit_fixture();
-    let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = vec![runs; BATCHES];
-
-    let iters = cfg.commit_iters();
-    let time_bursts = |process: &mut PersistentProcess, workers: usize| {
-        process.commit_pipelined_with_workers(&batches, workers); // warm-up
-        let before = registry_snapshot();
-        let t = Instant::now();
-        for _ in 0..iters {
-            process.commit_pipelined_with_workers(&batches, workers);
-        }
-        let total_ns = t.elapsed().as_nanos() as u64;
-        let delta = registry_snapshot() - before;
-        (
-            total_ns as f64 / iters as f64,
-            hist(&delta, "prosper.commit.pipeline.burst_ns").mean(),
-        )
-    };
-
-    let mut rows = Vec::new();
-    let mut serial_mean = 0.0f64;
-    for &workers in cfg.commit_workers() {
-        let (mean_ns, burst_ns_mean) = time_bursts(&mut process, workers);
-        if workers == 1 {
-            serial_mean = mean_ns;
-        }
-        assert!(serial_mean > 0.0, "worker sweep must start at serial");
-        rows.push(PipelineRow {
-            workers,
-            iterations: iters,
-            mean_ns,
-            speedup_vs_serial: serial_mean / mean_ns,
-            burst_ns_mean,
-        });
-    }
-
-    // The adaptive configuration reuses the sweep's measurement when
-    // the selector lands on a swept count — the gate then compares
-    // one timed configuration against another, not two noisy timings
-    // of the same one.
-    let adaptive_workers = process.planned_pipelined_workers(&batches);
-    let adaptive_mean_ns = match rows.iter().find(|r| r.workers == adaptive_workers) {
-        Some(row) => row.mean_ns,
-        None => time_bursts(&mut process, adaptive_workers).0,
-    };
-    let host_parallelism = host_parallelism();
-
-    PipelineSection {
-        host_parallelism,
-        threads: THREADS,
-        batches: BATCHES,
-        runs_per_thread: RUNS_PER_THREAD as usize,
-        bytes_per_batch: STACK_BYTES * THREADS as u64,
-        adaptive_workers,
-        adaptive_mean_ns,
-        adaptive_speedup_vs_serial: serial_mean / adaptive_mean_ns,
-        gate_enforced: host_parallelism > 1,
         rows,
     }
 }
@@ -892,7 +766,9 @@ fn spine_commit_cost(
 ) -> (u64, u64) {
     let acct = StallAccountant::new_virtual();
     for _ in 0..commits {
-        process.commit_attributed(runs, 1, None, Some(&acct));
+        process
+            .commit_with(runs, 1, &StallLedger::new(&acct))
+            .expect("the ledger never crashes");
     }
     let snap = acct.snapshot();
     let merge = snap.cause_total_ns(StallCause::Merge);
@@ -1224,11 +1100,6 @@ pub struct Summary {
     pub max_commit_workers: usize,
     /// Commit speedup at that worker count vs serial.
     pub commit_speedup_at_max_workers: f64,
-    /// Worker count the pipelined burst's adaptive selector picked.
-    pub pipelined_adaptive_workers: usize,
-    /// Pipelined adaptive-configuration speedup vs serial (gated at
-    /// [`PIPELINE_GATE`] when the host has parallelism).
-    pub pipelined_adaptive_speedup: f64,
     /// p99 whole-interval checkpoint latency (simulated cycles).
     pub ckpt_interval_p99_cycles: u64,
     /// Eager-apply NVM write amplification (milli-units: bytes
@@ -1269,8 +1140,6 @@ pub struct PerfReport {
     pub bitmap: Vec<BitmapRow>,
     /// Section 2: parallel commit scaling.
     pub commit: CommitSection,
-    /// Section 2b: pipelined commit scaling and the adaptive gate.
-    pub pipeline: PipelineSection,
     /// Section 3: checkpoint latency percentiles.
     pub checkpoint: CheckpointSection,
     /// Section 4a: micro-workload end-to-end runs.
@@ -1309,7 +1178,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
 
     let bitmap = bitmap_section(cfg);
     let commit = commit_section(cfg);
-    let pipeline = pipeline_section(cfg);
     let checkpoint = checkpoint_section(cfg);
     let workloads = workload_section(cfg);
     let scheduler = schedule_section(cfg);
@@ -1330,8 +1198,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
         sparse_stack_speedup,
         max_commit_workers: max_row.map_or(0, |r| r.workers),
         commit_speedup_at_max_workers: max_row.map_or(0.0, |r| r.speedup_vs_serial),
-        pipelined_adaptive_workers: pipeline.adaptive_workers,
-        pipelined_adaptive_speedup: pipeline.adaptive_speedup_vs_serial,
         ckpt_interval_p99_cycles: checkpoint.interval_cycles.p99,
         eager_hot_words_write_amp_milli: spine.hot_words.eager.write_amp_milli,
         spine_hot_words_write_amp_milli: spine.hot_words.spine.write_amp_milli,
@@ -1363,7 +1229,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
         host_parallelism: host_parallelism(),
         bitmap,
         commit,
-        pipeline,
         checkpoint,
         workloads,
         scheduler,
@@ -1399,23 +1264,6 @@ pub fn validate(report: &PerfReport) -> Result<(), String> {
     }
     if report.commit.rows.iter().all(|r| r.workers < 4) {
         return Err("commit scaling never reached 4 workers".into());
-    }
-    let p = &report.pipeline;
-    if p.rows.iter().all(|r| r.workers < 4) {
-        return Err("pipelined scaling never reached 4 workers".into());
-    }
-    if p.adaptive_workers == 0 || p.adaptive_mean_ns <= 0.0 {
-        return Err("pipelined adaptive configuration was not measured".into());
-    }
-    if p.gate_enforced != (p.host_parallelism > 1) {
-        return Err("pipeline gate flag disagrees with host parallelism".into());
-    }
-    if p.gate_enforced && p.adaptive_speedup_vs_serial < PIPELINE_GATE {
-        return Err(format!(
-            "adaptive pipelined commit ({} workers) is {:.2}x serial, below \
-             the {PIPELINE_GATE}x gate on a {}-way host",
-            p.adaptive_workers, p.adaptive_speedup_vs_serial, p.host_parallelism
-        ));
     }
     if report.checkpoint.interval_cycles.count == 0 {
         return Err("no checkpoint-latency samples recorded".into());
@@ -1570,36 +1418,6 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
             ratio(r.speedup_vs_serial),
         ]);
     }
-    tables.push(t);
-
-    let p = &report.pipeline;
-    let mut t = Table::new(
-        format!(
-            "Pipelined commit: {} batches/burst, adaptive pick {} worker(s), gate {}",
-            p.batches,
-            p.adaptive_workers,
-            if p.gate_enforced {
-                "enforced"
-            } else {
-                "skipped (single-core host)"
-            }
-        ),
-        &["workers", "mean µs", "telemetry burst µs", "speedup"],
-    );
-    for r in &p.rows {
-        t.push_row(&[
-            r.workers.to_string(),
-            format!("{:.1}", r.mean_ns / 1e3),
-            format!("{:.1}", r.burst_ns_mean / 1e3),
-            ratio(r.speedup_vs_serial),
-        ]);
-    }
-    t.push_row(&[
-        format!("adaptive({})", p.adaptive_workers),
-        format!("{:.1}", p.adaptive_mean_ns / 1e3),
-        "-".to_string(),
-        ratio(p.adaptive_speedup_vs_serial),
-    ]);
     tables.push(t);
 
     let c = &report.checkpoint;
@@ -1797,13 +1615,6 @@ mod tests {
         // Phase timers made it into the summary.
         assert_eq!(report.summary.ckpt_phase_mean_cycles.len(), 4);
         assert_eq!(report.summary.commit_phase_mean_ns.len(), 3);
-        // The pipelined study ran and its summary fields agree.
-        assert!(report.pipeline.rows.iter().any(|r| r.workers >= 4));
-        assert_eq!(
-            report.summary.pipelined_adaptive_workers,
-            report.pipeline.adaptive_workers
-        );
-        assert!(report.pipeline.adaptive_workers >= 1);
         // The spine study ran: 3 patterns x 3 policies, and the
         // hot-words amplification win made it into the summary.
         assert_eq!(report.spine.latency.len(), 9);
@@ -1840,30 +1651,10 @@ mod tests {
     fn render_covers_every_section() {
         let report = run_all(&tiny());
         let tables = render(&report);
-        assert_eq!(tables.len(), 10);
+        assert_eq!(tables.len(), 9);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has rows", t.title);
         }
-    }
-
-    #[test]
-    fn pipeline_gate_skips_on_single_core_and_rejects_losing_picks() {
-        let mut report = run_all(&tiny());
-        // The flag must track the recording host exactly.
-        assert_eq!(
-            report.pipeline.gate_enforced,
-            report.pipeline.host_parallelism > 1
-        );
-        // A losing adaptive configuration fails validation on a
-        // parallel host and sails through on a single-core one.
-        report.pipeline.adaptive_speedup_vs_serial = 0.5;
-        report.pipeline.host_parallelism = 4;
-        report.pipeline.gate_enforced = true;
-        let err = validate(&report).expect_err("losing pick must fail the gate");
-        assert!(err.contains("below"), "unexpected gate error: {err}");
-        report.pipeline.host_parallelism = 1;
-        report.pipeline.gate_enforced = false;
-        validate(&report).expect("single-core host skips the speedup gate");
     }
 
     #[test]

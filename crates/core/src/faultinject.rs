@@ -20,6 +20,14 @@
 //!    recovered checkpoint and must finish with a state identical to
 //!    an uninterrupted run.
 //!
+//! Commits run through the production commit engine
+//! ([`PersistentProcess::commit_with`]) with [`CrashWindows`] as its
+//! observer, at the configured worker count. With more than one worker
+//! the global crossing order is not deterministic, so a crash point is
+//! addressed as the n-th crossing of its site
+//! ([`CrashPlan::AtCrossing`]): each site is crossed by one thread at
+//! a time, so that key names the same boundary on every run.
+//!
 //! The invariants checked after every injected crash:
 //!
 //! * the recovered sequence equals the last *sealed* commit — one
@@ -49,7 +57,7 @@ use prosper_telemetry::{AttributionSnapshot, StallAccountant};
 use crate::bitmap::CopyRun;
 use crate::multithread::MultiThreadTracker;
 use crate::persist::SpineConfig;
-use crate::recovery::PersistentProcess;
+use crate::recovery::{CrashWindows, PersistentProcess, StallLedger};
 use crate::tracker::TrackerConfig;
 
 /// Shape of the deterministic workload the crash matrix drives.
@@ -67,13 +75,10 @@ pub struct CrashMatrixConfig {
     /// recovered checkpoint and require the final state to equal an
     /// uninterrupted run's.
     pub resume_after_recovery: bool,
-    /// Append a pipelined two-interval epilogue: two extra store
-    /// rounds dirtying disjoint halves of each stack, committed as a
-    /// pipelined pair where stage(N+1) overlaps apply(N). Crash
-    /// windows inside the overlap ([`CrashSite::MidPipelineStage`])
-    /// only exist on this schedule. Off by default so the recorded
-    /// PR-3/PR-6 baselines keep their exact site counts.
-    pub pipelined_epilogue: bool,
+    /// Workers of every commit's parallel phases. At 1 the crossing
+    /// order is deterministic; above 1 crash points are keyed by site
+    /// and crossing count (see the module docs).
+    pub workers: usize,
     /// Staged-delta spine mode: commits append delta batches instead
     /// of eagerly applying, governed by this merge policy. Crash
     /// windows at the batch-seal, mid-merge, and merge-retire
@@ -101,7 +106,7 @@ impl Default for CrashMatrixConfig {
             stores_per_interval: 12,
             seed: 0x9E37_79B9,
             resume_after_recovery: true,
-            pipelined_epilogue: false,
+            workers: 1,
             spine: None,
             alloc_epilogue: false,
         }
@@ -182,24 +187,6 @@ fn store_pattern(cfg: &CrashMatrixConfig, interval: u32, tid: u32, j: u32) -> (u
     (offset, mix(m, 1, 2, 3).to_le_bytes())
 }
 
-/// Epilogue stores: round 0 dirties only the lower half of each
-/// stack, round 1 only the upper half. The rounds must be
-/// address-disjoint because the pipelined pair stages round 1 (for
-/// sequence N+1) from the same volatile image that round 0's apply
-/// (sequence N) copies from — a shared byte would tear checkpoint N's
-/// ground truth.
-fn epilogue_store_pattern(cfg: &CrashMatrixConfig, round: u32, tid: u32, j: u32) -> (u64, [u8; 8]) {
-    let m = mix(
-        cfg.seed ^ 0xE147_0E17,
-        u64::from(round) + 1,
-        u64::from(tid) + 1,
-        u64::from(j) + 1,
-    );
-    let half = STACK_BYTES / 2;
-    let offset = ((m % (half - 8)) & !7) + u64::from(round) * half;
-    (offset, mix(m, 4, 5, 6).to_le_bytes())
-}
-
 const STACK_BYTES: u64 = 0x8000;
 
 fn thread_range(tid: u32) -> VirtRange {
@@ -268,10 +255,6 @@ struct Driver {
     /// Cycles retired by machine epochs that ended in a power
     /// failure; the live machine's clock restarts from zero.
     prior_epochs_cycles: u64,
-    /// Parallel commit workers for attributed clean runs; 0 keeps the
-    /// serial crash-window commit path (required when an injector may
-    /// fire, since crash sites live on that path).
-    workers: usize,
     /// Allocator state once the allocator epilogue has started.
     alloc: Option<AllocState>,
 }
@@ -301,7 +284,6 @@ impl Driver {
             expected_sequence: 0,
             acct: None,
             prior_epochs_cycles: 0,
-            workers: 0,
             alloc: None,
         }
     }
@@ -313,24 +295,16 @@ impl Driver {
 
     /// Wires a stall accountant through every layer the workload
     /// stalls in: tracker quiescence, the commit path, and recovery.
-    /// `workers > 0` routes clean commits through the parallel
-    /// `commit_attributed` path with that worker count; `workers == 0`
-    /// keeps the serial crash-window path (mandatory when the
-    /// injector may fire).
-    fn set_attribution(&mut self, acct: Arc<StallAccountant>, workers: usize) {
+    fn set_attribution(&mut self, acct: Arc<StallAccountant>) {
         self.mt.set_attribution(Arc::clone(&acct));
         self.acct = Some(acct);
-        self.workers = workers;
     }
 
     /// Runs intervals `[from, cfg.intervals)` and then, if configured,
-    /// the pipelined epilogue pair; stops at the first injected crash.
+    /// the allocator epilogue; stops at the first injected crash.
     fn run_from(&mut self, from: u32, inj: &mut FaultInjector) -> Result<(), CrashInjected> {
         for interval in from..self.cfg.intervals {
             self.interval(interval, inj)?;
-        }
-        if self.cfg.pipelined_epilogue {
-            self.epilogue(inj)?;
         }
         if self.cfg.alloc_epilogue {
             self.alloc_epilogue(inj)?;
@@ -422,23 +396,12 @@ impl Driver {
         // Whole-process two-phase commit.
         let sequence = self.commits_completed + 1;
         let snapshot = self.snapshot_now();
-        let commit_result = if self.workers > 0 {
-            // Attributed clean run: parallel commit with the
-            // deterministic cost model. Crash sites live on the
-            // serial path, so this is only reachable with a disabled
-            // injector.
-            self.process.commit_attributed(
-                &runs_per_thread,
-                self.workers,
-                None,
-                self.acct.as_deref(),
-            );
-            Ok(())
-        } else {
-            self.process
-                .commit_with_faults_attributed(&runs_per_thread, inj, self.acct.as_deref())
-        };
-        match commit_result {
+        let ledger = self.acct.as_deref().map(StallLedger::new);
+        match self.process.commit_with(
+            &runs_per_thread,
+            self.cfg.workers,
+            &CrashWindows::with(inj, ledger),
+        ) {
             Ok(()) => {
                 self.commits_completed = sequence;
                 self.expected_sequence = sequence;
@@ -466,139 +429,6 @@ impl Driver {
             regs: (0..self.cfg.threads)
                 .map(|tid| *self.process.regs(tid))
                 .collect(),
-        }
-    }
-
-    /// One epilogue round: each thread is scheduled and performs the
-    /// round's half-stack stores, then every bitmap is inspected to
-    /// produce the round's copy runs — the same crash windows as a
-    /// regular interval.
-    fn epilogue_round(
-        &mut self,
-        round: u32,
-        inj: &mut FaultInjector,
-    ) -> Result<BTreeMap<u32, Vec<CopyRun>>, CrashInjected> {
-        let interval = self.cfg.intervals + round;
-        for tid in 0..self.cfg.threads {
-            self.mt.schedule_with_faults(&mut self.machine, tid, inj)?;
-            for j in 0..self.cfg.stores_per_interval {
-                let (offset, bytes) = epilogue_store_pattern(&self.cfg, round, tid, j);
-                let addr = thread_range(tid).start() + offset;
-                self.mt.observe_store(&mut self.machine, addr, 8);
-                self.process.record_store(tid, addr, &bytes);
-            }
-            let regs = self.process.regs_mut(tid);
-            regs.rip = u64::from(interval) + 1;
-            regs.gpr[0] = u64::from(tid) ^ mix(self.cfg.seed, u64::from(interval), 0, 0);
-        }
-        let mut runs_per_thread: BTreeMap<u32, Vec<CopyRun>> = BTreeMap::new();
-        for tid in 0..self.cfg.threads {
-            self.mt.schedule_with_faults(&mut self.machine, tid, inj)?;
-            self.mt.tracker_mut().flush();
-            let geom = self.mt.tracker().geometry();
-            let (runs, _) = self
-                .mt
-                .tracker_mut()
-                .bitmap_mut()
-                .inspect_and_clear(&geom, thread_range(tid));
-            runs_per_thread.insert(tid, runs);
-            if inj.observe(CrashSite::MidBitmapClear { tid }) {
-                return Err(CrashInjected {
-                    site: CrashSite::MidBitmapClear { tid },
-                });
-            }
-        }
-        Ok(runs_per_thread)
-    }
-
-    /// The pipelined epilogue: two store rounds committed as a
-    /// pipelined pair — stage(N+1) runs inside apply(N)'s drain
-    /// window, crossing [`CrashSite::MidPipelineStage`] boundaries.
-    ///
-    /// Expected-sequence bookkeeping uses the seal-counting rule: a
-    /// crash anywhere in the run leaves exactly as many durable
-    /// checkpoints as [`CrashSite::PostSeal`] boundaries crossed
-    /// (every sealed sequence crosses it exactly once, pair or not),
-    /// so recovery must land on that count — sequence N after a crash
-    /// inside the overlap window, N+1 only once the second seal is
-    /// durable.
-    ///
-    /// On resume after a recovery that landed on N, only round 1 is
-    /// replayed (as a plain commit); a recovery at or before the last
-    /// regular interval replays the whole pair.
-    fn epilogue(&mut self, inj: &mut FaultInjector) -> Result<(), CrashInjected> {
-        let n = u64::from(self.cfg.intervals) + 1;
-        let done = self.process.committed_sequence();
-        if done > n {
-            return Ok(());
-        }
-        if done == n {
-            // Resume path: checkpoint N is durable, redo round 1 only.
-            let runs = self.epilogue_round(1, inj)?;
-            let snapshot = self.snapshot_now();
-            return match self.process.commit_with_faults_attributed(
-                &runs,
-                inj,
-                self.acct.as_deref(),
-            ) {
-                Ok(()) => {
-                    self.commits_completed = n + 1;
-                    self.expected_sequence = n + 1;
-                    self.snapshots.insert(n + 1, snapshot);
-                    Ok(())
-                }
-                Err(err) => {
-                    if err.site.is_post_seal() {
-                        self.expected_sequence = n + 1;
-                        self.snapshots.insert(n + 1, snapshot);
-                    }
-                    Err(err)
-                }
-            };
-        }
-
-        let runs_n = self.epilogue_round(0, inj)?;
-        // Checkpoint N's image ground truth predates round 1's stores
-        // (the rounds are address-disjoint, so round 1 cannot
-        // invalidate it) …
-        let images_n = self.snapshot_now().images;
-        let runs_n1 = self.epilogue_round(1, inj)?;
-        // … but both records capture the register file live at the
-        // pair commit, i.e. round 1's values.
-        let snap_n1 = self.snapshot_now();
-        let snap_n = Snapshot {
-            images: images_n,
-            regs: snap_n1.regs.clone(),
-        };
-        match self.process.commit_pipelined_pair_with_faults_attributed(
-            &runs_n,
-            &runs_n1,
-            inj,
-            self.acct.as_deref(),
-        ) {
-            Ok(()) => {
-                self.commits_completed = n + 1;
-                self.expected_sequence = n + 1;
-                self.snapshots.insert(n, snap_n);
-                self.snapshots.insert(n + 1, snap_n1);
-                Ok(())
-            }
-            Err(err) => {
-                let seals = inj
-                    .crossed()
-                    .iter()
-                    .filter(|s| **s == CrashSite::PostSeal)
-                    .count() as u64;
-                if seals >= n {
-                    self.expected_sequence = n;
-                    self.snapshots.insert(n, snap_n);
-                }
-                if seals > n {
-                    self.expected_sequence = n + 1;
-                    self.snapshots.insert(n + 1, snap_n1);
-                }
-                Err(err)
-            }
         }
     }
 
@@ -651,7 +481,8 @@ impl Driver {
         }
 
         let expected = self.expected_sequence;
-        match self.process.recover_attributed(self.acct.as_deref()) {
+        let ledger = self.acct.as_deref().map(StallLedger::new);
+        match self.process.recover_with(&ledger) {
             Ok(rec) => {
                 if expected == 0 {
                     return Err(format!(
@@ -756,41 +587,72 @@ fn reference_final_state(cfg: &CrashMatrixConfig) -> Snapshot {
             regs[tid as usize].rip = u64::from(interval) + 1;
         }
     }
-    if cfg.pipelined_epilogue {
-        for round in 0..2 {
-            for tid in 0..cfg.threads {
-                for j in 0..cfg.stores_per_interval {
-                    let (offset, bytes) = epilogue_store_pattern(cfg, round, tid, j);
-                    images[tid as usize].write(thread_range(tid).start() + offset, &bytes);
-                }
-                regs[tid as usize].rip = u64::from(cfg.intervals + round) + 1;
-            }
-        }
-    }
     Snapshot { images, regs }
 }
 
-/// Enumerates every crash-point boundary the workload crosses, in
-/// deterministic schedule order, via one recording run.
-pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> Vec<CrashSite> {
+/// Every crash point the workload crosses, via one recording run, as
+/// `(site, crossings of that site before it)`. Schedule order at one
+/// worker; sorted by that key at more, where the schedule order is
+/// not deterministic but the key set is.
+fn crash_points(cfg: &CrashMatrixConfig) -> Vec<(CrashSite, u64)> {
     let mut driver = Driver::new(*cfg);
     let mut inj = FaultInjector::new(CrashPlan::Record);
     driver
         .run_from(0, &mut inj)
         .expect("a recording injector never fires");
-    inj.crossed().to_vec()
+    let mut seen: BTreeMap<CrashSite, u64> = BTreeMap::new();
+    let mut points: Vec<(CrashSite, u64)> = inj
+        .crossed()
+        .iter()
+        .map(|&site| {
+            let nth = seen.entry(site).or_insert(0);
+            *nth += 1;
+            (site, *nth - 1)
+        })
+        .collect();
+    if cfg.workers > 1 {
+        points.sort_unstable();
+    }
+    points
 }
 
-/// Runs the workload with a crash injected at boundary `index`,
-/// recovers, verifies every invariant, and (per the config) resumes
-/// to completion.
+/// The plan that fires at crash point `index` of [`crash_points`]
+/// (never fires past the last one).
+fn plan_at(cfg: &CrashMatrixConfig, index: u64) -> CrashPlan {
+    if cfg.workers <= 1 {
+        return CrashPlan::AtIndex(index);
+    }
+    crash_points(cfg)
+        .get(index as usize)
+        .map_or(CrashPlan::Record, |&(site, nth)| CrashPlan::AtCrossing {
+            site,
+            nth,
+        })
+}
+
+/// Enumerates every crash-point boundary the workload crosses, in the
+/// deterministic order crash indices address them.
+pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> Vec<CrashSite> {
+    crash_points(cfg)
+        .into_iter()
+        .map(|(site, _)| site)
+        .collect()
+}
+
+/// Runs the workload with a crash injected at crash point `index`
+/// (see [`enumerate_crash_sites`]), recovers, verifies every
+/// invariant, and (per the config) resumes to completion.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated invariant.
 pub fn run_with_crash_at(cfg: &CrashMatrixConfig, index: u64) -> Result<CrashOutcome, String> {
+    run_with_plan(cfg, plan_at(cfg, index))
+}
+
+fn run_with_plan(cfg: &CrashMatrixConfig, plan: CrashPlan) -> Result<CrashOutcome, String> {
     let mut driver = Driver::new(*cfg);
-    let mut inj = FaultInjector::at_index(index);
+    let mut inj = FaultInjector::new(plan);
     match driver.run_from(0, &mut inj) {
         Ok(()) => Ok(CrashOutcome {
             fired: None,
@@ -841,9 +703,9 @@ fn freeze_attributed(acct: &StallAccountant, driver: &Driver) -> AttributedRun {
 }
 
 /// Runs the uninterrupted workload with a virtual-clock stall
-/// accountant wired through tracker quiescence and the parallel
-/// commit path (`workers` commit workers), and returns the
-/// cause-tagged attribution snapshot.
+/// accountant wired through tracker quiescence and the commit engine
+/// at `workers` commit workers, and returns the cause-tagged
+/// attribution snapshot.
 ///
 /// The virtual clock advances only by the deterministic commit cost
 /// model and quiescence cycle counts, so two calls with the same
@@ -855,8 +717,8 @@ pub fn run_attributed(cfg: &CrashMatrixConfig, workers: usize) -> AttributedRun 
         "attributed clean runs need at least one commit worker"
     );
     let acct = Arc::new(StallAccountant::new_virtual());
-    let mut driver = Driver::new(*cfg);
-    driver.set_attribution(Arc::clone(&acct), workers);
+    let mut driver = Driver::new(CrashMatrixConfig { workers, ..*cfg });
+    driver.set_attribution(Arc::clone(&acct));
     let mut inj = FaultInjector::disabled();
     driver
         .run_from(0, &mut inj)
@@ -880,9 +742,8 @@ pub fn run_crash_attributed(
 ) -> Result<(CrashOutcome, AttributedRun), String> {
     let acct = Arc::new(StallAccountant::new_virtual());
     let mut driver = Driver::new(*cfg);
-    // workers == 0: crash sites live on the serial commit path.
-    driver.set_attribution(Arc::clone(&acct), 0);
-    let mut inj = FaultInjector::at_index(index);
+    driver.set_attribution(Arc::clone(&acct));
+    let mut inj = FaultInjector::new(plan_at(cfg, index));
     let outcome = match driver.run_from(0, &mut inj) {
         Ok(()) => CrashOutcome {
             fired: None,
@@ -906,24 +767,24 @@ pub fn run_crash_attributed(
 /// and injects a crash at each one, collecting survivals and
 /// failures.
 pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
-    let sites = enumerate_crash_sites(cfg);
+    let points = crash_points(cfg);
     let mut report = CrashMatrixReport {
-        sites: sites.clone(),
+        sites: points.iter().map(|&(site, _)| site).collect(),
         ..Default::default()
     };
-    for (index, site) in sites.iter().enumerate() {
-        match run_with_crash_at(cfg, index as u64) {
+    for (index, &(site, nth)) in points.iter().enumerate() {
+        match run_with_plan(cfg, CrashPlan::AtCrossing { site, nth }) {
             Ok(outcome) => {
                 debug_assert_eq!(
                     outcome.fired,
-                    Some(*site),
-                    "deterministic schedule: index {index} fired a different site"
+                    Some(site),
+                    "crash point {index} fired a different site"
                 );
                 report.survived += 1;
             }
             Err(reason) => report.failures.push(CrashFailure {
                 index: index as u64,
-                site: *site,
+                site,
                 reason,
             }),
         }
@@ -937,18 +798,12 @@ mod tests {
 
     #[test]
     fn enumeration_is_deterministic_and_covers_taxonomy() {
-        let cfg = CrashMatrixConfig {
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
+        let cfg = CrashMatrixConfig::default();
         let a = enumerate_crash_sites(&cfg);
         let b = enumerate_crash_sites(&cfg);
         assert_eq!(a, b, "same config, same schedule");
         assert!(a.len() > 40, "multi-thread run crosses many boundaries");
         // The taxonomy is exercised end to end.
-        assert!(a
-            .iter()
-            .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })));
         assert!(a.contains(&CrashSite::PreStage));
         assert!(a.iter().any(|s| matches!(s, CrashSite::MidStage { .. })));
         assert!(a.contains(&CrashSite::PreSeal));
@@ -1014,70 +869,6 @@ mod tests {
             report.total(),
             report.failures.first()
         );
-    }
-
-    #[test]
-    fn pipelined_epilogue_sweep_survives_every_crash_point() {
-        // Exhaustive sweep over a schedule ending in the pipelined
-        // pair: every overlap-window crash must recover onto exactly
-        // sequence N or N+1 (decided by the seal count) and resume to
-        // the uninterrupted final state.
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 5,
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
-        let report = run_crash_matrix(&cfg);
-        assert!(
-            report
-                .sites
-                .iter()
-                .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })),
-            "the pair schedule must cross the overlap window"
-        );
-        assert!(
-            report.all_survived(),
-            "{} of {} crash points failed, first: {:?}",
-            report.failures.len(),
-            report.total(),
-            report.failures.first()
-        );
-    }
-
-    #[test]
-    fn overlap_crashes_conserve_and_land_on_n_or_n_plus_one() {
-        // Attributed sweep restricted to the overlap window: each
-        // MidPipelineStage crash must leave checkpoint N durable (the
-        // second seal hasn't happened yet) and a conserving ledger.
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 5,
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
-        let sites = enumerate_crash_sites(&cfg);
-        let n = u64::from(cfg.intervals) + 1;
-        let mut overlap = 0;
-        for (index, site) in sites.iter().enumerate() {
-            if !matches!(site, CrashSite::MidPipelineStage { .. }) {
-                continue;
-            }
-            overlap += 1;
-            let (outcome, run) = run_crash_attributed(&cfg, index as u64)
-                .unwrap_or_else(|e| panic!("overlap crash at {index}: {e}"));
-            assert_eq!(outcome.fired, Some(*site));
-            assert_eq!(
-                outcome.recovered_sequence, n,
-                "a crash inside apply(N)'s drain recovers onto N, never N+1"
-            );
-            run.snapshot
-                .verify_conservation()
-                .unwrap_or_else(|e| panic!("overlap crash at {index}: {e}"));
-        }
-        assert!(overlap >= 2, "both threads stage ahead in the overlap");
     }
 
     #[test]
@@ -1278,6 +1069,43 @@ mod tests {
             outcome.fired,
             Some(CrashSite::AllocSubtreePersist { .. })
         ));
+    }
+
+    /// The parallel engine under the crash matrix: at two workers the
+    /// crossing order varies from run to run, but every run records
+    /// the same crash-point set, and every point survives — eager and
+    /// spine alike.
+    #[test]
+    fn parallel_schedules_record_one_site_set_and_survive() {
+        for spine in [None, Some(SpineConfig::merge_always())] {
+            let cfg = CrashMatrixConfig {
+                threads: 2,
+                intervals: 2,
+                stores_per_interval: 5,
+                workers: 2,
+                spine,
+                ..Default::default()
+            };
+            let serial = crash_points(&CrashMatrixConfig { workers: 1, ..cfg });
+            let mut serial_sorted = serial.clone();
+            serial_sorted.sort_unstable();
+            for _ in 0..3 {
+                assert_eq!(
+                    crash_points(&cfg),
+                    serial_sorted,
+                    "spine={spine:?}: the parallel site set is the serial one"
+                );
+            }
+            let report = run_crash_matrix(&cfg);
+            assert_eq!(report.total(), serial.len() as u64);
+            assert!(
+                report.all_survived(),
+                "spine={spine:?}: {} of {} crash points failed, first: {:?}",
+                report.failures.len(),
+                report.total(),
+                report.failures.first()
+            );
+        }
     }
 
     #[test]

@@ -290,9 +290,8 @@ pub struct PersistentStack {
     staging: Vec<StagedRun>,
     /// Sequence the open staging buffer belongs to (0 when no buffer
     /// is open). Written with `begin_stage`, so after a crash recovery
-    /// can tell a buffer staged for sequence N from one staged ahead
-    /// for N+1 while N's apply was still draining (the pipelined
-    /// commit overlap window).
+    /// can tell a buffer staged for the sealed sequence N from one
+    /// tagged for a later sequence that never sealed.
     staging_sequence: u64,
     /// Staging seal marker (durably written after all runs are staged).
     sealed: bool,
@@ -371,10 +370,10 @@ impl PersistentStack {
         self.begin_stage_at(self.next_sequence);
     }
 
-    /// [`Self::begin_stage`] with an explicit sequence tag. The
-    /// pipelined whole-process commit stages sequence N+1's runs while
-    /// N's apply drains; the tag is what lets recovery replay a sealed
-    /// record N without touching buffers staged ahead for N+1.
+    /// [`Self::begin_stage`] with an explicit sequence tag: the
+    /// whole-process commit tags each buffer with the process sequence,
+    /// which lets recovery redo a sealed record N without touching a
+    /// buffer tagged for a later, never-sealed sequence.
     pub fn begin_stage_at(&mut self, sequence: u64) {
         self.phase = CommitPhase::Staging;
         self.sealed = false;

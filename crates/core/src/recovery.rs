@@ -2,115 +2,75 @@
 //! under one commit boundary.
 //!
 //! The paper's end-to-end solution checkpoints *all* process state
-//! (Section III-D: "The GemOS baseline checkpoint mechanism captures
-//! all process states (including the stack) in an incremental manner
-//! and stores them in the NVM"). [`PersistentProcess`] is that
-//! facade: one `commit` captures every thread's registers and stack
-//! runs atomically with respect to recovery — after a crash, the
-//! recovered registers and memory always belong to the *same*
-//! checkpoint.
+//! (Section III-D). [`PersistentProcess`] is that facade: one `commit`
+//! captures every thread's registers and stack runs atomically with
+//! respect to recovery — after a crash, the recovered registers and
+//! memory always belong to the *same* checkpoint.
 //!
 //! # The two-phase whole-process commit
 //!
-//! A naive commit that applies each thread's stack checkpoint and then
-//! the register checkpoint independently is torn by a mid-commit
-//! crash: thread 0's stack recovers at sequence N+1 while thread 1's
-//! stack — or the registers — recover at N. The protocol here extends
-//! the paper's two-step stack commit (Section III-B, Figure 6) to the
-//! whole process:
+//! The protocol extends the paper's two-step stack commit (Section
+//! III-B, Figure 6) to the whole process:
 //!
 //! 1. **Stage**: every thread's dirty runs are copied into its NVM
 //!    staging buffer, and the register file is staged into a process
 //!    commit record — nothing is applied yet.
-//! 2. **Seal**: the process commit record is sealed with one durable
-//!    write. This is the commit point: a crash before it discards all
-//!    staging (recovery sees sequence N), a crash after it redoes the
-//!    apply from the staged state (recovery sees N+1). Either way all
+//! 2. **Seal**: the record is sealed with one durable write. This is
+//!    the commit point: a crash before it discards all staging
+//!    (recovery sees sequence N), a crash after it redoes phase two
+//!    from the staged state (recovery sees N+1). Either way all
 //!    threads and the registers land on the *same* sequence.
 //! 3. **Apply**: each staging buffer is applied to its persistent
-//!    stack, then every thread's register slot is written; finally the
-//!    record is retired.
+//!    stack, then every register slot is written; finally the record
+//!    is retired.
 //!
-//! Every step boundary is a named [`CrashSite`] observed through a
-//! [`FaultInjector`], so the exhaustive crash-point sweep in
-//! [`crate::faultinject`] can fire a simulated power failure at each
-//! one and assert the invariants above.
+//! # One engine, one event stream
 //!
-//! # Parallel staging and apply
+//! [`PersistentProcess::commit_with`] is the only implementation of
+//! the protocol: validate every thread's runs, stage (parallel), seal
+//! (coordinator), phase two (parallel: eager apply or spine append),
+//! register tail, retire, then the policy-gated spine merge.
+//! Recovery's redo of a sealed record runs the same phase-two code.
+//! Stage and phase two touch strictly per-thread state, so they fan
+//! out over work-stealing scoped workers; the seal stays the single
+//! serialization point.
 //!
-//! Stage and apply touch strictly per-thread state (each thread's
-//! staging buffer and persistent stack), so [`PersistentProcess::commit`]
-//! fans them out over `std::thread::scope` workers; the **seal stays
-//! the single serialization point** — one durable write on the
-//! coordinating thread — so crash atomicity is unchanged. Worker
-//! assignment is work-stealing: each worker claims the next unclaimed
-//! stack from a shared cursor, so uneven per-thread run lists no
-//! longer leave workers idle behind a pre-assigned contiguous chunk.
-//! Recovery's redo of a sealed record takes the same parallel apply
-//! path, which means the exhaustive crash matrix exercises it after
-//! every post-seal crash. Deterministic fault injection needs a fixed
-//! boundary order, so [`PersistentProcess::commit_with_faults`] keeps
-//! the serial schedule with its crash windows; the
-//! `parallel_commit_matches_serial` test pins the two paths to the
-//! same persistent state.
+//! Every protocol boundary emits one [`CommitEvent`] to a single
+//! [`CommitObserver`]. Production passes `()`, which compiles to
+//! nothing: no lock, no allocation and no dynamic call per run. The
+//! instrumentation is three views of the same stream: [`CommitProbe`]
+//! (protocol order, for the `prosper-analysis` conformance checker),
+//! [`StallLedger`] (the cause-tagged stall ledger) and [`CrashWindows`]
+//! (a [`FaultInjector`] firing at the [`CrashSite`] of a boundary, so
+//! the crash matrix fails the power inside the code production runs,
+//! at any worker count). When an observer fails the power, the worker
+//! that saw it stops at once and every other worker stops at its next
+//! boundary.
 //!
-//! # Adaptive worker selection
-//!
-//! Spawning scoped workers is not free: BENCH_pr3.json recorded 2
-//! workers at 0.85x serial and 8 at 0.59x on small commits, because
-//! `commit` blindly fanned out to `available_parallelism`.
-//! [`PersistentProcess::commit`] now evaluates the [`commit_cost`]
-//! model (the same per-phase model stall attribution charges) at every
-//! candidate worker count, including a per-worker spawn overhead, and
-//! picks the argmin — falling back to serial whenever the staged bytes
-//! sit below the parallelism break-even.
-//!
-//! # The pipelined burst
-//!
-//! When several checkpoints commit back to back,
-//! [`PersistentProcess::commit_pipelined`] overlaps sequence N's apply
-//! drain with sequence N+1's staging. The sharpened protocol invariant
-//! is:
-//!
-//! - **stage(N+1) begins only after seal(N)** — the overlap window
-//!   opens at the commit point, never before, and
-//! - **seal(N+1) happens only after apply(N) fully drains** — at most
-//!   one sealed record ever exists.
-//!
-//! Per stack the hand-off is fused: a worker finishes applying stack
-//! `t`'s sequence-N buffer, retires it, and immediately stages N+1's
-//! runs into the same (single) buffer, tagged with its sequence
-//! ([`PersistentStack::begin_stage_at`]). A crash inside the overlap
-//! window leaves sealed record N pending while some stacks hold
-//! staging tagged N+1: redo replays only buffers tagged N and discards
-//! the unsealed staged-ahead ones, so recovery lands on exactly N — or
-//! N+1 once seal(N+1) is durable. The serial crash-windowed twin
-//! ([`PersistentProcess::commit_pipelined_pair_with_faults`]) walks the
-//! same schedule with a named [`CrashSite`] at every boundary,
-//! including [`CrashSite::MidPipelineStage`] inside the overlap.
+//! [`PersistentProcess::commit`] picks the worker count as the argmin
+//! of the [`commit_cost`] model over every candidate count, spawn
+//! overhead included, so commits below the parallelism break-even run
+//! serial (BENCH_pr3.json measured blind fan-out at 0.85x serial).
 //!
 //! # Spine mode (staged-delta spine)
 //!
-//! With a [`SpineConfig`] installed
-//! ([`PersistentProcess::new_with_spine`]), phase two changes shape:
-//! instead of copying each sealed staging buffer into the persistent
-//! image, every stack retires its buffer as an immutable delta batch
-//! appended to its spine ([`PersistentStack::seal_to_spine`], an O(1)
-//! pointer swing) — the apply copy disappears from the commit critical
-//! path. The seal remains the sole durability point and the register
-//! tail is unchanged, so crash atomicity is identical to eager mode.
-//! A deferred, policy-gated merge ([`PersistentStack::should_merge`])
-//! then folds spines newest-wins into the persistent images off the
-//! critical path, charged to [`StallCause::Merge`]; recovery folds any
-//! surviving spine the same way, so the recovered image is always
-//! byte-identical to what eager apply would have produced (the
-//! differential proptests pin this). Merge never crosses an unsealed
-//! batch: only sealed-and-appended batches are ever folded, and a
-//! crash between merge steps is recovered by simply re-merging — each
-//! completed prefix of the newest-first fold writes a value-identical
-//! subset of the full fold.
+//! With a [`SpineConfig`] ([`PersistentProcess::new_with_spine`]),
+//! phase two retires each sealed staging buffer as an immutable delta
+//! batch appended to its stack's spine
+//! ([`PersistentStack::seal_to_spine`], an O(1) pointer swing) instead
+//! of copying it — the apply copy leaves the critical path, while the
+//! seal and the register tail are unchanged. A deferred, policy-gated
+//! merge ([`PersistentStack::should_merge`]) then folds spines
+//! newest-wins into the persistent images, charged to
+//! [`StallCause::Merge`]; recovery folds any surviving spine the same
+//! way, so the recovered image is byte-identical to eager apply (the
+//! differential proptests pin this). Merge only ever folds sealed
+//! batches, and a crash between merge steps is recovered by simply
+//! re-merging: each completed prefix of the newest-first fold writes a
+//! value-identical subset of the full fold.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 use prosper_telemetry as telemetry;
 use prosper_telemetry::{StallAccountant, StallCause};
@@ -123,26 +83,201 @@ use prosper_memsim::addr::VirtRange;
 use crate::bitmap::CopyRun;
 use crate::persist::{MergeStats, PersistentStack, SpineConfig};
 
-/// The NVM process commit record: the staged register file plus the
-/// seal marker whose single durable write is the whole-process commit
-/// point.
+/// The NVM process commit record: staged registers plus the seal
+/// marker whose single durable write is the commit point.
 #[derive(Clone, Debug)]
 struct ProcessCommitRecord {
     /// Sequence this commit will carry once sealed.
     sequence: u64,
     /// Registers of every thread as staged in phase one.
     staged_regs: Vec<RegisterFile>,
-    /// Written last in phase one; a crash before this leaves the whole
-    /// commit discardable.
+    /// Written last; before it the whole commit is discardable.
     sealed: bool,
 }
 
-/// One protocol-boundary event recorded by a [`CommitProbe`] during a
-/// parallel commit. The event stream is the observable ordering of the
-/// stage → seal → apply protocol: `prosper-analysis` checks it against
-/// the same happens-before invariants its interleaving explorer
-/// enforces on the protocol model (all stages before the seal, the
-/// seal before all applies, no overlap across sequence numbers).
+/// One protocol boundary of the commit engine (or of recovery). Worker
+/// events arrive in their actual cross-thread order, coordinator events
+/// between the parallel passes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CommitEvent {
+    /// The coordinator opened a commit; nothing is staged yet.
+    Begin {
+        /// Sequence the commit will carry.
+        sequence: u64,
+        /// Stacks taking part (thread ids `0..threads`).
+        threads: u32,
+        /// Worker count of the parallel phases.
+        workers: usize,
+    },
+    /// Thread `tid` staged one more run.
+    StageRun {
+        /// Thread staging.
+        tid: u32,
+        /// Runs staged so far on this thread.
+        runs_staged: u32,
+        /// Length of the run just staged.
+        bytes: u64,
+    },
+    /// Thread `tid` finished staging `sequence`.
+    StageThread {
+        /// Thread that finished staging.
+        tid: u32,
+        /// Sequence staged.
+        sequence: u64,
+    },
+    /// Every stack staged and the unsealed record is written.
+    Staged,
+    /// The record sealed — the commit point.
+    Seal {
+        /// Sequence the seal committed.
+        sequence: u64,
+    },
+    /// Eager phase two: thread `tid` applied one more staged run.
+    ApplyRun {
+        /// Thread applying.
+        tid: u32,
+        /// Runs applied so far on this thread.
+        runs_applied: u32,
+        /// Length of the run just applied.
+        bytes: u64,
+    },
+    /// Eager phase two: thread `tid`'s staging buffer is fully applied.
+    ApplyThread {
+        /// Thread whose apply finished.
+        tid: u32,
+        /// Sequence applied.
+        sequence: u64,
+    },
+    /// Spine phase two: thread `tid`'s staging buffer became a batch.
+    BatchAppend {
+        /// Thread whose batch was appended.
+        tid: u32,
+        /// Sequence of the batch.
+        sequence: u64,
+    },
+    /// Phase two drained on every stack; the register tail is next.
+    PhaseTwoDone,
+    /// Thread `tid`'s register slot was written.
+    RegisterSlot {
+        /// Thread whose registers were written.
+        tid: u32,
+    },
+    /// The record retired; the commit is complete.
+    Retire {
+        /// Sequence that completed.
+        sequence: u64,
+    },
+    /// One fold step of thread `tid`'s spine merge.
+    MergeStep {
+        /// Thread merging.
+        tid: u32,
+        /// Newest-first batches folded so far.
+        batches_folded: u32,
+        /// Deduplicated bytes the step wrote.
+        bytes: u64,
+    },
+    /// Thread `tid`'s spine was folded and retired.
+    MergeRetire {
+        /// Thread whose spine retired.
+        tid: u32,
+        /// Highest committed sequence the fold covered.
+        upto: u64,
+    },
+    /// Recovery starts.
+    Recover {
+        /// Sequence being redone (0 when nothing was sealed).
+        sequence: u64,
+        /// Stacks taking part (thread ids `0..threads`).
+        threads: u32,
+        /// Runs replayed.
+        runs: u64,
+        /// Bytes replayed.
+        bytes: u64,
+    },
+    /// The commit (completed or torn) or the recovery ended; never a
+    /// crash window.
+    End,
+}
+
+impl CommitEvent {
+    /// The crash window this boundary is, if any.
+    #[must_use]
+    pub fn site(&self) -> Option<CrashSite> {
+        use CommitEvent as E;
+        Some(match *self {
+            E::Begin { .. } => CrashSite::PreStage,
+            E::StageRun {
+                tid, runs_staged, ..
+            } => CrashSite::MidStage { tid, runs_staged },
+            E::Staged => CrashSite::PreSeal,
+            E::Seal { .. } => CrashSite::PostSeal,
+            E::ApplyRun {
+                tid, runs_applied, ..
+            } => CrashSite::MidApply { tid, runs_applied },
+            E::ApplyThread { tid, .. } => CrashSite::PostApplyThread { tid },
+            E::BatchAppend { tid, .. } => CrashSite::BatchSeal { tid },
+            E::PhaseTwoDone => CrashSite::PostApplyPreRegisters,
+            E::RegisterSlot { tid } => CrashSite::MidRegisterApply { tid },
+            E::Retire { .. } => CrashSite::PostCommit,
+            E::MergeStep {
+                tid,
+                batches_folded,
+                ..
+            } => CrashSite::MidMerge {
+                tid,
+                batches_folded,
+            },
+            E::MergeRetire { tid, .. } => CrashSite::MergeRetire { tid },
+            E::StageThread { .. } | E::Recover { .. } | E::End => return None,
+        })
+    }
+}
+
+/// Observes every boundary of the commit engine. `Sync` because the
+/// parallel phases report from the scoped workers.
+pub trait CommitObserver: Sync {
+    /// Observes one boundary. `Err` is a power failure at that
+    /// boundary: the engine stops at once and leaves persistent state
+    /// exactly as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrashInjected`] to fail the power here.
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected>;
+}
+
+/// The production observer: sees nothing, never crashes.
+impl CommitObserver for () {
+    #[inline(always)]
+    fn on(&self, _: CommitEvent) -> Result<(), CrashInjected> {
+        Ok(())
+    }
+}
+
+impl<T: CommitObserver + ?Sized> CommitObserver for &T {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        (**self).on(event)
+    }
+}
+
+impl<T: CommitObserver> CommitObserver for Option<T> {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        self.as_ref().map_or(Ok(()), |o| o.on(event))
+    }
+}
+
+/// Both observers see every event; either may fail the power.
+impl<A: CommitObserver, B: CommitObserver> CommitObserver for (A, B) {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        let a = self.0.on(event);
+        let b = self.1.on(event);
+        a.and(b)
+    }
+}
+
+/// One protocol-order event recorded by a [`CommitProbe`];
+/// `prosper-analysis` checks the stream against the invariants its
+/// interleaving explorer enforces on the protocol model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommitProbeEvent {
     /// Worker finished staging thread `tid`'s runs for `sequence`.
@@ -152,13 +287,13 @@ pub enum CommitProbeEvent {
         /// Sequence the commit will carry.
         sequence: u64,
     },
-    /// The coordinator sealed the process commit record — the single
-    /// serial commit point.
+    /// The coordinator sealed the process commit record.
     Seal {
         /// Sequence the seal committed.
         sequence: u64,
     },
-    /// Worker finished applying thread `tid`'s staging buffer.
+    /// Worker finished phase two (apply or batch append) of thread
+    /// `tid`'s staging buffer.
     ApplyThread {
         /// Thread whose staging buffer was applied.
         tid: u32,
@@ -172,9 +307,7 @@ pub enum CommitProbeEvent {
     },
     /// Deferred spine merge: thread `tid`'s spine was folded into its
     /// persistent image, covering every batch up to and including
-    /// `upto`. Merges only ever run between commits — never across an
-    /// unsealed batch — which the `prosper-analysis` order checker
-    /// enforces on this event.
+    /// `upto` (never an unsealed one).
     MergeThread {
         /// Thread whose spine was folded.
         tid: u32,
@@ -183,14 +316,12 @@ pub enum CommitProbeEvent {
     },
 }
 
-/// Collects [`CommitProbeEvent`]s from the parallel commit path.
-///
-/// Shared by reference with the scoped stage/apply workers, so the
-/// recorded order is the *actual* cross-thread order of protocol
-/// boundaries, not a reconstruction.
+/// The protocol-order view of the event stream: logs the
+/// [`CommitProbeEvent`]s in the *actual* cross-thread order of
+/// protocol boundaries, not a reconstruction.
 #[derive(Debug, Default)]
 pub struct CommitProbe {
-    log: std::sync::Mutex<Vec<CommitProbeEvent>>,
+    log: Mutex<Vec<CommitProbeEvent>>,
 }
 
 impl CommitProbe {
@@ -199,30 +330,41 @@ impl CommitProbe {
         Self::default()
     }
 
-    fn record(&self, ev: CommitProbeEvent) {
-        if let Ok(mut log) = self.log.lock() {
-            log.push(ev);
-        }
-    }
-
     /// The events recorded so far, in observation order.
     pub fn events(&self) -> Vec<CommitProbeEvent> {
         self.log.lock().map(|log| log.clone()).unwrap_or_default()
     }
 }
 
-/// Deterministic virtual-time cost model for the attributed commit
-/// path (see `prosper_telemetry::attribution`).
-///
-/// Under a virtual-clock [`StallAccountant`] the coordinator advances
-/// the clock by these modelled costs — computed from the same
-/// contiguous chunk assignment `for_each_stack` uses — so attributed
-/// timelines are byte-identical across runs and still sensitive to
-/// the worker count. Under a wall-clock accountant `advance` is a
-/// no-op and real elapsed time is measured instead. Units are virtual
-/// ns; the values are loosely calibrated to the simulator's cycle
-/// costs — they only need to be *stable*, not accurate, because the
-/// conservation invariant holds under any clock.
+impl CommitObserver for CommitProbe {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        let ev = match event {
+            CommitEvent::StageThread { tid, sequence } => {
+                CommitProbeEvent::StageThread { tid, sequence }
+            }
+            CommitEvent::Seal { sequence } => CommitProbeEvent::Seal { sequence },
+            CommitEvent::ApplyThread { tid, sequence }
+            | CommitEvent::BatchAppend { tid, sequence } => {
+                CommitProbeEvent::ApplyThread { tid, sequence }
+            }
+            CommitEvent::Retire { sequence } => CommitProbeEvent::Retire { sequence },
+            CommitEvent::MergeRetire { tid, upto } => CommitProbeEvent::MergeThread { tid, upto },
+            _ => return Ok(()),
+        };
+        if let Ok(mut log) = self.log.lock() {
+            log.push(ev);
+        }
+        Ok(())
+    }
+}
+
+/// Deterministic virtual-time cost model of the commit engine: the
+/// worker selector's estimate, and what a [`StallLedger`] advances a
+/// virtual-clock [`StallAccountant`] by, so attributed timelines are
+/// byte-identical across runs yet sensitive to the worker count (a
+/// wall-clock accountant ignores `advance`). Units are virtual ns,
+/// loosely calibrated to the simulator's cycle costs: they need to be
+/// *stable*, not accurate, since conservation holds under any clock.
 pub mod commit_cost {
     /// Fixed per-phase dispatch overhead.
     pub const PHASE_BASE_NS: u64 = 100;
@@ -232,15 +374,11 @@ pub mod commit_cost {
     pub const STAGE_BYTE_NS: u64 = 1;
     /// The single durable seal write.
     pub const SEAL_NS: u64 = 250;
-    /// Coordinator bookkeeping per thread: staging one thread's
-    /// register file into the process commit record. Charged to the
-    /// **seal** phase — it is serialization-point work, not staging
-    /// work (PR 7 regression: the stage stopwatch used to absorb it).
+    /// Coordinator bookkeeping per thread: staging its register file
+    /// into the commit record. Seal-phase work, not staging work.
     pub const BOOKKEEP_SLOT_NS: u64 = 20;
-    /// Spawning one scoped worker. Only the adaptive worker selector
-    /// charges this (a parallel phase pays `workers` spawns); it is
-    /// what makes fan-out lose to serial below the break-even commit
-    /// size, as BENCH_pr3.json measured (w=2 at 0.85x serial).
+    /// Spawning one scoped worker. Only the worker selector charges
+    /// this; it makes fan-out lose to serial below the break-even.
     pub const WORKER_SPAWN_NS: u64 = 5_000;
     /// Apply: per staged run.
     pub const APPLY_RUN_NS: u64 = 40;
@@ -250,11 +388,10 @@ pub mod commit_cost {
     pub const REGISTER_SLOT_NS: u64 = 30;
     /// Spine mode: retiring one sealed staging buffer as an immutable
     /// delta batch — a pointer swing plus one durable batch-header
-    /// write. This O(1) cost replaces the per-byte apply copy on the
-    /// commit critical path; the difference is the headline win the
-    /// perf suite's `spine` section measures.
+    /// write, replacing the per-byte apply copy on the critical path.
     pub const BATCH_APPEND_NS: u64 = 80;
-    /// Spine merge: per deduplicated run written by a fold step.
+    /// Spine merge: per merge step. A merge folds its spine in one
+    /// step per batch, so this is charged once per folded batch.
     pub const MERGE_RUN_NS: u64 = 40;
     /// Spine merge: per deduplicated byte written by a fold step.
     pub const MERGE_BYTE_NS: u64 = 1;
@@ -266,74 +403,225 @@ pub mod commit_cost {
     pub const RECOVERY_BASE_NS: u64 = 400;
 }
 
-/// Records cause-tagged phase boundaries for the serial fault-injected
-/// commit. The scribe closes the in-progress phase when a crash window
-/// fires, so even a torn commit's stall window is exactly tiled by its
-/// segments — attribution survives injected crashes by construction.
-struct FaultScribe<'a> {
+/// The stall-ledger view of the event stream: charges every thread
+/// (all are stalled during a whole-process commit) one cause-tagged
+/// [`StallSegment`] per phase and one [`StallWindow`] per commit. The
+/// segments tile the window by construction, also when a crash tears
+/// the commit: the open phase closes at the crash instant.
+///
+/// One charging rule: each parallel phase (stage, phase two) is
+/// charged once, when it closes, as the work-stealing makespan of the
+/// work its workers reported (`stolen_phase_cost`, the worker
+/// selector's rule), torn by a crash or not; the merge is the same
+/// rule at one worker. The seal charges [`commit_cost::SEAL_NS`] plus
+/// bookkeeping, the register tail [`commit_cost::REGISTER_SLOT_NS`]
+/// per slot. Recovery is one `Recovery` segment and window, modelled
+/// from the runs and bytes it replays.
+///
+/// [`StallSegment`]: prosper_telemetry::StallSegment
+/// [`StallWindow`]: prosper_telemetry::StallWindow
+#[derive(Debug)]
+pub struct StallLedger<'a> {
     acct: &'a StallAccountant,
-    tids: Vec<u32>,
-    sequence: u64,
-    window_start: u64,
-    phase_start: u64,
-    cause: StallCause,
+    state: Mutex<LedgerState>,
 }
 
-impl<'a> FaultScribe<'a> {
-    fn new(acct: &'a StallAccountant, tids: Vec<u32>, sequence: u64) -> Self {
-        let now = acct.now_ns();
-        FaultScribe {
+/// The commit (or recovery) a [`StallLedger`] is charging.
+#[derive(Debug, Default)]
+struct LedgerState {
+    sequence: u64,
+    tids: Vec<u32>,
+    /// Workers of the open phase (1 for the merge).
+    workers: usize,
+    window_start: u64,
+    phase_start: u64,
+    /// Cause of the open segment.
+    cause: Option<StallCause>,
+    /// Uncharged work of the open parallel phase, per thread.
+    work: Vec<u64>,
+    /// Whether the open parallel phase dispatched and is uncharged.
+    entered: bool,
+    /// Modelled recovery cost, charged when the recovery ends.
+    recovery_ns: u64,
+}
+
+impl<'a> StallLedger<'a> {
+    /// A ledger charging `acct`.
+    pub fn new(acct: &'a StallAccountant) -> Self {
+        Self {
             acct,
-            tids,
-            sequence,
-            window_start: now,
-            phase_start: now,
-            cause: StallCause::Stage,
+            state: Mutex::new(LedgerState::default()),
+        }
+    }
+}
+
+impl LedgerState {
+    fn add_work(&mut self, tid: u32, ns: u64) {
+        if let Some(w) = self.work.get_mut(tid as usize) {
+            *w += ns;
+        }
+        self.entered = true;
+    }
+
+    /// Charges the open parallel phase, once.
+    fn charge(&mut self, acct: &StallAccountant) {
+        if std::mem::take(&mut self.entered) {
+            let work = &self.work;
+            acct.advance(PersistentProcess::stolen_phase_cost(
+                &self.tids,
+                self.workers,
+                |tid| work.get(tid as usize).copied().unwrap_or(0),
+            ));
+            self.work.fill(0);
         }
     }
 
-    /// Advances the virtual clock by one unit of modelled work.
-    fn work(&self, ns: u64) {
-        self.acct.advance(ns);
-    }
-
-    /// Closes the current phase at `now` and opens `cause`.
-    fn next_phase(&mut self, cause: StallCause) {
-        self.close_phase();
-        self.cause = cause;
-    }
-
-    /// [`Self::next_phase`] for a different sequence — the pipelined
-    /// pair commits two sequences under one scribe window.
-    fn next_phase_for(&mut self, cause: StallCause, sequence: u64) {
-        self.close_phase();
-        self.cause = cause;
-        self.sequence = sequence;
-    }
-
-    fn close_phase(&mut self) {
-        let now = self.acct.now_ns();
-        for &tid in &self.tids {
-            self.acct
-                .record_segment(tid, self.cause, self.sequence, self.phase_start, now);
+    /// Closes the open segment at the current instant.
+    fn close(&mut self, acct: &StallAccountant) {
+        self.charge(acct);
+        let now = acct.now_ns();
+        if let Some(cause) = self.cause {
+            for &tid in &self.tids {
+                acct.record_segment(tid, cause, self.sequence, self.phase_start, now);
+            }
         }
         self.phase_start = now;
     }
 
-    /// Closes the final (possibly crash-interrupted) phase and the
-    /// per-thread stall windows.
-    fn finish(mut self) {
-        self.close_phase();
-        for &tid in &self.tids {
-            self.acct
-                .record_window(tid, self.window_start, self.phase_start);
+    fn open(&mut self, acct: &StallAccountant, cause: StallCause) {
+        self.close(acct);
+        self.cause = Some(cause);
+    }
+}
+
+impl CommitObserver for StallLedger<'_> {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        use commit_cost as c;
+        let acct = self.acct;
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match event {
+            CommitEvent::Begin {
+                sequence,
+                threads,
+                workers,
+            } => {
+                let now = acct.now_ns();
+                *s = LedgerState {
+                    sequence,
+                    tids: (0..threads).collect(),
+                    workers,
+                    window_start: now,
+                    phase_start: now,
+                    cause: Some(StallCause::Stage),
+                    work: vec![0; threads as usize],
+                    ..LedgerState::default()
+                };
+            }
+            CommitEvent::StageRun { tid, bytes, .. } => {
+                s.add_work(tid, c::STAGE_RUN_NS + bytes * c::STAGE_BYTE_NS);
+            }
+            CommitEvent::ApplyRun { tid, bytes, .. } => {
+                s.add_work(tid, c::APPLY_RUN_NS + bytes * c::APPLY_BYTE_NS);
+            }
+            CommitEvent::BatchAppend { tid, .. } => s.add_work(tid, c::BATCH_APPEND_NS),
+            CommitEvent::StageThread { .. } | CommitEvent::ApplyThread { .. } => {
+                s.entered = true;
+            }
+            CommitEvent::Staged => s.open(acct, StallCause::Seal),
+            CommitEvent::Seal { .. } => {
+                acct.advance(c::SEAL_NS + s.tids.len() as u64 * c::BOOKKEEP_SLOT_NS);
+                s.open(acct, StallCause::Apply);
+            }
+            CommitEvent::PhaseTwoDone => s.charge(acct),
+            CommitEvent::RegisterSlot { .. } => acct.advance(c::REGISTER_SLOT_NS),
+            CommitEvent::MergeStep { tid, bytes, .. } => {
+                if s.cause != Some(StallCause::Merge) {
+                    s.open(acct, StallCause::Merge);
+                    s.workers = 1;
+                }
+                s.add_work(tid, c::MERGE_RUN_NS + bytes * c::MERGE_BYTE_NS);
+            }
+            CommitEvent::Retire { .. } | CommitEvent::MergeRetire { .. } => {}
+            CommitEvent::Recover {
+                sequence,
+                threads,
+                runs,
+                bytes,
+            } => {
+                let now = acct.now_ns();
+                *s = LedgerState {
+                    sequence,
+                    tids: (0..threads).collect(),
+                    window_start: now,
+                    phase_start: now,
+                    cause: Some(StallCause::Recovery),
+                    recovery_ns: c::RECOVERY_BASE_NS
+                        + runs * c::RECOVERY_RUN_NS
+                        + bytes * c::RECOVERY_BYTE_NS,
+                    ..LedgerState::default()
+                };
+            }
+            CommitEvent::End => {
+                acct.advance(s.recovery_ns);
+                s.close(acct);
+                for &tid in &s.tids {
+                    acct.record_window(tid, s.window_start, s.phase_start);
+                }
+                *s = LedgerState::default();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The crash-window view of the event stream: the [`FaultInjector`]
+/// may fire at every event with a [`CrashSite`]. Once it fired, every
+/// later boundary on any worker reports the same crash, as one power
+/// failure stops all workers. `inner` (typically a [`StallLedger`])
+/// sees events up to the one that fired, plus the closing `End`.
+#[derive(Debug)]
+pub struct CrashWindows<'a, O = ()> {
+    inj: Mutex<&'a mut FaultInjector>,
+    inner: O,
+}
+
+impl<'a> CrashWindows<'a> {
+    /// Crash windows of `inj`, with no other observer.
+    pub fn new(inj: &'a mut FaultInjector) -> Self {
+        Self::with(inj, ())
+    }
+}
+
+impl<'a, O: CommitObserver> CrashWindows<'a, O> {
+    /// Crash windows of `inj` in front of `inner`.
+    pub fn with(inj: &'a mut FaultInjector, inner: O) -> Self {
+        Self {
+            inj: Mutex::new(inj),
+            inner,
+        }
+    }
+}
+
+impl<O: CommitObserver> CommitObserver for CrashWindows<'_, O> {
+    fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+        let mut inj = self.inj.lock().unwrap_or_else(PoisonError::into_inner);
+        if event == CommitEvent::End {
+            return self.inner.on(event);
+        }
+        if let Some((_, site)) = inj.fired() {
+            return Err(CrashInjected { site });
+        }
+        self.inner.on(event)?;
+        match event.site() {
+            Some(site) if inj.observe(site) => Err(CrashInjected { site }),
+            _ => Ok(()),
         }
     }
 }
 
 /// One claimable unit of the work-stealing stack fan-out: a worker
 /// that takes the `Some` owns that stack for the pass.
-type StackTask<'a> = std::sync::Mutex<Option<(u32, &'a mut PersistentStack)>>;
+type StackTask<'a> = Mutex<Option<(u32, &'a mut PersistentStack)>>;
 
 /// A process whose registers and stacks are persisted together.
 #[derive(Debug)]
@@ -346,9 +634,7 @@ pub struct PersistentProcess {
     pending: Option<ProcessCommitRecord>,
     /// NVM: sequence number the next commit will use.
     next_sequence: u64,
-    /// Staged-delta spine mode: `Some` defers the apply copy behind
-    /// per-stack delta batches governed by this merge policy; `None`
-    /// is the classic eager apply.
+    /// Spine mode's merge policy; `None` is eager apply.
     spine_cfg: Option<SpineConfig>,
 }
 
@@ -377,17 +663,6 @@ impl std::fmt::Display for SequenceSkew {
 }
 
 impl std::error::Error for SequenceSkew {}
-
-/// Fires the injector at `site`, aborting the interrupted operation
-/// exactly as a power failure would: persistent state is left as-is,
-/// the in-flight operation never continues.
-macro_rules! crash_window {
-    ($inj:expr, $site:expr) => {
-        if $inj.observe($site) {
-            return Err(CrashInjected { site: $site });
-        }
-    };
-}
 
 impl PersistentProcess {
     /// Creates a persistent process with `threads` threads whose
@@ -433,13 +708,6 @@ impl PersistentProcess {
         self.spine_cfg
     }
 
-    /// Installs or removes the spine merge policy. Switching modes is
-    /// only safe between commits; any batches already on a spine stay
-    /// there and are folded by the next merge or recovery.
-    pub fn set_spine_config(&mut self, cfg: Option<SpineConfig>) {
-        self.spine_cfg = cfg;
-    }
-
     /// Total delta batches currently on all stacks' spines.
     pub fn spine_batches(&self) -> usize {
         self.stacks
@@ -454,10 +722,7 @@ impl PersistentProcess {
     }
 
     /// Folds every stack's spine into its persistent image regardless
-    /// of the merge policy and returns the aggregate stats — the
-    /// steady-state drain the perf suite uses to measure total NVM
-    /// write volume, and a way to force quiescence before inspecting
-    /// persistent images directly.
+    /// of the merge policy and returns the aggregate stats.
     pub fn merge_all_spines(&mut self) -> MergeStats {
         let mut total = MergeStats::default();
         for stack in self.stacks.values_mut() {
@@ -515,9 +780,7 @@ impl PersistentProcess {
         self.registers.committed_sequence
     }
 
-    /// Worker-count *cap* for the parallel commit phases: one per
-    /// thread, up to the machine's parallelism. The adaptive selector
-    /// picks the actual count within this cap.
+    /// Worker-count cap: one per thread, up to the host's parallelism.
     fn default_workers(threads: usize) -> usize {
         std::thread::available_parallelism()
             .map_or(1, |p| p.get())
@@ -525,12 +788,9 @@ impl PersistentProcess {
             .max(1)
     }
 
-    /// Modelled wall cost of one whole-process commit at `workers`,
-    /// from the [`commit_cost`] model: both parallel phases under the
-    /// work-stealing assignment, the serial seal (with its coordinator
-    /// bookkeeping), the serial register tail — and, for `workers > 1`,
-    /// the spawn overhead of the scoped workers, which is what tiny
-    /// commits cannot amortize.
+    /// Modelled cost of one commit at `workers`: both parallel phases
+    /// under work stealing, the serial seal and register tail, and for
+    /// `workers > 1` the spawn overhead tiny commits cannot amortize.
     fn modeled_commit_ns(
         tids: &[u32],
         workers: usize,
@@ -577,12 +837,8 @@ impl PersistentProcess {
         (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
     }
 
-    /// Adaptive worker selection for [`Self::commit`]: evaluates the
-    /// modelled commit cost at every worker count up to the
-    /// machine-parallelism cap and returns the argmin. Commits whose
-    /// staged bytes sit below the parallelism break-even come out
-    /// serial — the fix for BENCH_pr3.json's w=2 → 0.85x regression,
-    /// where `commit` fanned out unconditionally.
+    /// Adaptive worker selection for [`Self::commit`]: the argmin of
+    /// the modelled commit cost up to the host-parallelism cap.
     fn select_workers(&self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) -> usize {
         let tids: Vec<u32> = self.stacks.keys().copied().collect();
         let cap = Self::default_workers(tids.len());
@@ -592,231 +848,122 @@ impl PersistentProcess {
         })
     }
 
-    /// Commits one whole-process checkpoint: every thread's stack runs
-    /// (from its tracker's bitmap inspection) plus every thread's
-    /// registers, under the two-phase stage/seal/apply protocol, with
-    /// staging and apply fanned out across scoped workers (see the
-    /// module docs). The worker count is chosen adaptively from the
-    /// per-phase cost model; commits below the parallelism break-even
-    /// run serial.
+    /// Commits one whole-process checkpoint — every thread's stack
+    /// runs (from its bitmap inspection) and registers — through the
+    /// engine, at the adaptively selected worker count.
     ///
     /// # Panics
     ///
     /// Panics if `runs_per_thread` misses a registered thread.
     pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
-        self.commit_with_workers(runs_per_thread, self.select_workers(runs_per_thread));
+        let workers = self.select_workers(runs_per_thread);
+        // The no-op observer never fails the power.
+        let _ = self.commit_with(runs_per_thread, workers, &());
     }
 
-    /// [`Self::commit`] with an explicit worker count (the perf suite
-    /// sweeps this to measure commit scaling).
+    /// The commit engine (see the module docs): [`Self::commit`] at an
+    /// explicit worker count, reporting every boundary to `observer`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrashInjected`] when the observer failed the power;
+    /// persistent state is left as the crash left it.
     ///
     /// # Panics
     ///
     /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_workers(
+    pub fn commit_with<O: CommitObserver + ?Sized>(
         &mut self,
         runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
         workers: usize,
-    ) {
-        self.commit_with_workers_probed(runs_per_thread, workers, None);
-    }
-
-    /// [`Self::commit_with_workers`] with a [`CommitProbe`] observing
-    /// every protocol boundary the workers and the coordinator cross —
-    /// the instrumentation hook the `prosper-analysis` conformance
-    /// suite drives to check the *real* parallel path against the
-    /// protocol-order invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_workers_probed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-    ) {
-        self.commit_attributed(runs_per_thread, workers, probe, None);
-    }
-
-    /// [`Self::commit_with_workers_probed`] plus causal stall
-    /// attribution: each phase boundary the coordinator crosses is
-    /// charged to every thread as a cause-tagged [`StallSegment`]
-    /// (during a whole-process commit *every* thread is stalled, so
-    /// the per-thread segments share the coordinator's boundaries),
-    /// and one [`StallWindow`] per thread brackets the whole commit.
-    /// The segments tile the window by construction — the telescoping
-    /// sum `(t1-t0)+(t2-t1)+(t3-t2) = t3-t0` — which the conservation
-    /// tests verify end-to-end. Under a virtual-clock accountant the
-    /// coordinator advances time from the [`commit_cost`] model over
-    /// the same chunk assignment the workers use; the workers never
-    /// touch the clock, so attributed timelines stay deterministic at
-    /// any worker count.
-    ///
-    /// [`StallSegment`]: prosper_telemetry::StallSegment
-    /// [`StallWindow`]: prosper_telemetry::StallWindow
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_attributed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-        acct: Option<&StallAccountant>,
-    ) {
+        observer: &O,
+    ) -> Result<(), CrashInjected> {
         for tid in self.stacks.keys() {
             assert!(
                 runs_per_thread.contains_key(tid),
                 "no runs supplied for thread {tid}"
             );
         }
+        let result = self.run_commit(runs_per_thread, workers, observer);
+        let _ = observer.on(CommitEvent::End);
+        result
+    }
+
+    fn run_commit<O: CommitObserver + ?Sized>(
+        &mut self,
+        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
+        workers: usize,
+        obs: &O,
+    ) -> Result<(), CrashInjected> {
         let sequence = self.next_sequence;
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let t0 = acct.map(StallAccountant::now_ns);
+        obs.on(CommitEvent::Begin {
+            sequence,
+            threads: self.stacks.len() as u32,
+            workers,
+        })?;
         // Phase one (parallel): stage every thread's runs into its own
-        // NVM staging buffer — strictly per-thread state. The stage
-        // stopwatch brackets *only* this staging work: staging the
-        // register file into the commit record is coordinator
-        // bookkeeping charged to the seal phase below (PR 7 satellite
-        // regression — it used to inflate `stage_ns` and the ledger's
-        // Stage segments).
-        let stage_watch = telemetry::Stopwatch::start();
+        // NVM staging buffer — strictly per-thread state.
+        let watch = telemetry::Stopwatch::start();
         Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
             stack.begin_stage_at(sequence);
-            for run in &runs_per_thread[&tid] {
+            for (k, run) in runs_per_thread[&tid].iter().enumerate() {
                 stack.stage_run(run);
+                obs.on(CommitEvent::StageRun {
+                    tid,
+                    runs_staged: k as u32 + 1,
+                    bytes: run.len,
+                })?;
             }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::StageThread { tid, sequence });
-            }
-        });
-        let stage_ns = stage_watch.elapsed_ns();
-        let t1 = acct.map(|a| {
-            a.advance(Self::stolen_phase_cost(&tids, workers, |tid| {
-                Self::runs_cost(
-                    &runs_per_thread[&tid],
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
-                )
-            }));
-            a.now_ns()
-        });
-        // Seal phase: the register file is staged into the commit
-        // record (coordinator bookkeeping), then the single durable
-        // write — the single serialization point — commits the
-        // checkpoint.
-        let seal_watch = telemetry::Stopwatch::start();
-        let mut record = ProcessCommitRecord {
+            obs.on(CommitEvent::StageThread { tid, sequence })
+        })?;
+        let stage_ns = watch.elapsed_ns();
+        // Seal (coordinator): the register file is staged into the
+        // commit record (bookkeeping charged to the seal), then the
+        // single durable write commits the checkpoint.
+        let watch = telemetry::Stopwatch::start();
+        self.pending = Some(ProcessCommitRecord {
             sequence,
             staged_regs: self.live_regs.clone(),
             sealed: false,
-        };
-        self.pending = Some(record.clone());
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(p) = probe {
-            p.record(CommitProbeEvent::Seal { sequence });
-        }
-        let seal_ns = seal_watch.elapsed_ns();
-        let t2 = acct.map(|a| {
-            a.advance(commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-            a.now_ns()
         });
-        // Phase two. Spine mode retires each stack's sealed staging
-        // buffer as an immutable delta batch — no apply copy — then
-        // runs the deferred, policy-gated merge off the critical path;
-        // eager mode takes the classic parallel apply.
-        let apply_watch = telemetry::Stopwatch::start();
-        let mut merged: Option<(u64, MergeStats)> = None;
-        let (apply_ns, merge_ns, t3, t4) = if let Some(cfg) = self.spine_cfg {
-            Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-                stack.seal_to_spine(sequence);
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-                }
-            });
-            for (tid, regs) in record.staged_regs.iter().enumerate() {
-                self.registers.apply_thread_at(tid, *regs, sequence);
-            }
-            self.registers.set_committed_sequence(sequence);
-            self.pending = None;
-            self.next_sequence = sequence + 1;
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Retire { sequence });
-            }
-            let apply_ns = apply_watch.elapsed_ns();
-            let t3 = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |_| commit_cost::BATCH_APPEND_NS)
-                        + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            let merge_watch = telemetry::Stopwatch::start();
-            let mut stats = MergeStats::default();
-            let mut merges = 0u64;
-            let mut merge_model_ns = 0u64;
-            for (tid, stack) in &mut self.stacks {
-                if !stack.should_merge(&cfg) {
-                    continue;
-                }
-                let s = stack.merge_spine();
-                merges += 1;
-                merge_model_ns += s.batches_folded * commit_cost::MERGE_RUN_NS
-                    + s.written_bytes * commit_cost::MERGE_BYTE_NS;
-                stats.batches_folded += s.batches_folded;
-                stats.input_bytes += s.input_bytes;
-                stats.written_bytes += s.written_bytes;
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::MergeThread {
-                        tid: *tid,
-                        upto: sequence,
-                    });
-                }
-            }
-            let merge_ns = merge_watch.elapsed_ns();
-            let t4 = acct.map(|a| {
-                if merges > 0 {
-                    a.advance(commit_cost::PHASE_BASE_NS + merge_model_ns);
-                }
-                a.now_ns()
-            });
-            merged = Some((merges, stats));
-            (apply_ns, merge_ns, t3, t4)
-        } else {
-            self.apply_record_parallel(&record, workers, probe);
-            let apply_ns = apply_watch.elapsed_ns();
-            let t3 = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |tid| {
-                        Self::runs_cost(
-                            &runs_per_thread[&tid],
-                            commit_cost::APPLY_RUN_NS,
-                            commit_cost::APPLY_BYTE_NS,
-                        )
-                    }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            (apply_ns, 0, t3, t3)
-        };
-        if let (Some(a), Some(t0), Some(t1), Some(t2), Some(t3), Some(t4)) =
-            (acct, t0, t1, t2, t3, t4)
-        {
-            for &tid in &tids {
-                a.record_segment(tid, StallCause::Stage, sequence, t0, t1);
-                a.record_segment(tid, StallCause::Seal, sequence, t1, t2);
-                a.record_segment(tid, StallCause::Apply, sequence, t2, t3);
-                if t4 > t3 {
-                    a.record_segment(tid, StallCause::Merge, sequence, t3, t4);
-                }
-                a.record_window(tid, t0, t4);
-            }
+        obs.on(CommitEvent::Staged)?;
+        if let Some(record) = &mut self.pending {
+            record.sealed = true;
         }
+        obs.on(CommitEvent::Seal { sequence })?;
+        let seal_ns = watch.elapsed_ns();
+        // Phase two (parallel), register tail and retire.
+        let watch = telemetry::Stopwatch::start();
+        self.apply_record(workers, obs)?;
+        let apply_ns = watch.elapsed_ns();
+        // The deferred, policy-gated merge: everything on a spine is
+        // sealed by construction and the commit above fully retired,
+        // so no fold ever crosses an unsealed batch.
+        let watch = telemetry::Stopwatch::start();
+        let (mut merges, mut merged_bytes) = (0u64, 0u64);
+        for (&tid, stack) in &mut self.stacks {
+            if !self.spine_cfg.is_some_and(|cfg| stack.should_merge(&cfg)) {
+                continue;
+            }
+            for step in stack.merge_plan() {
+                stack.apply_merge_step(&step);
+                merged_bytes += step.bytes();
+                obs.on(CommitEvent::MergeStep {
+                    tid,
+                    batches_folded: step.batches_folded(),
+                    bytes: step.bytes(),
+                })?;
+            }
+            stack.retire_spine();
+            merges += 1;
+            obs.on(CommitEvent::MergeRetire {
+                tid,
+                upto: sequence,
+            })?;
+        }
+        let merge_ns = watch.elapsed_ns();
         if telemetry::enabled() {
-            let spine_total = self.spine_batches() as i64;
+            let spine_batches = self.spine_cfg.map(|_| self.spine_batches() as i64);
             telemetry::with(|t| {
                 let r = t.registry();
                 r.gauge("prosper.commit.workers").set(workers as i64);
@@ -825,500 +972,75 @@ impl PersistentProcess {
                 r.histogram("prosper.commit.phase.seal_ns").record(seal_ns);
                 r.histogram("prosper.commit.phase.apply_ns")
                     .record(apply_ns);
-                if let Some((merges, stats)) = merged {
+                if let Some(batches) = spine_batches {
                     r.histogram("prosper.commit.phase.merge_ns")
                         .record(merge_ns);
-                    r.gauge("prosper.spine.batches").set(spine_total);
-                    if merges > 0 {
-                        r.counter("prosper.spine.merges").add(merges);
-                        r.counter("prosper.spine.merged_bytes")
-                            .add(stats.written_bytes);
-                    }
+                    r.gauge("prosper.spine.batches").set(batches);
+                }
+                if merges > 0 {
+                    r.counter("prosper.spine.merges").add(merges);
+                    r.counter("prosper.spine.merged_bytes").add(merged_bytes);
                 }
             });
         }
+        Ok(())
     }
 
-    /// Commits a back-to-back burst of whole-process checkpoints
-    /// through the pipelined protocol: while sequence N's apply
-    /// drains, sequence N+1's runs stage ahead on the stacks whose
-    /// apply already retired (see the module docs for the sharpened
-    /// invariant). The worker count is chosen adaptively from the
-    /// modelled burst cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined(&mut self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
-        let workers = self.select_pipelined_workers(batches);
-        self.commit_pipelined_attributed(batches, workers, None, None);
-    }
-
-    /// [`Self::commit_pipelined`] with an explicit worker count (the
-    /// perf suite sweeps this to measure pipelined commit scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined_with_workers(
+    /// Phase two of the sealed pending record (eager apply or spine
+    /// append, parallel), the register tail and the retire. Idempotent,
+    /// so recovery's redo replays it from any interruption point, and
+    /// panic-free (`PA-PANIC004`). Staging tagged past the sealed
+    /// sequence belongs to a commit that never sealed: discarded.
+    fn apply_record<O: CommitObserver + ?Sized>(
         &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
         workers: usize,
-    ) {
-        self.commit_pipelined_attributed(batches, workers, None, None);
-    }
-
-    /// The worker count the adaptive selector picks for a pipelined
-    /// burst of `batches` — exposed so the perf suite can report the
-    /// selected configuration alongside the measured scaling.
-    #[must_use]
-    pub fn planned_pipelined_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        self.select_pipelined_workers(batches)
-    }
-
-    /// Adaptive worker selection for a pipelined burst: argmin of the
-    /// modelled burst cost over the machine-parallelism cap.
-    fn select_pipelined_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let cap = Self::default_workers(tids.len());
-        Self::argmin_workers(cap, |w| Self::modeled_pipelined_ns(&tids, w, batches))
-    }
-
-    /// Modelled wall cost of a pipelined burst at `workers`: the head
-    /// stage, then per sequence the serial seal (plus bookkeeping) and
-    /// the fused apply+stage-ahead pass, plus the register tail —
-    /// with one spawn charge per parallel pass.
-    fn modeled_pipelined_ns(
-        tids: &[u32],
-        workers: usize,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-    ) -> u64 {
-        let cost = |batch: &BTreeMap<u32, Vec<CopyRun>>, tid: u32, per_run: u64, per_byte: u64| {
-            batch
-                .get(&tid)
-                .map_or(0, |runs| Self::runs_cost(runs, per_run, per_byte))
+        obs: &O,
+    ) -> Result<(), CrashInjected> {
+        let Some(sequence) = self
+            .pending
+            .as_ref()
+            .filter(|r| r.sealed)
+            .map(|r| r.sequence)
+        else {
+            return Ok(());
         };
-        let Some(head) = batches.first() else {
-            return 0;
-        };
-        let mut total = Self::spawn_cost(workers)
-            + Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(
-                    head,
-                    tid,
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
-                )
-            });
-        for (i, batch) in batches.iter().enumerate() {
-            let next = batches.get(i + 1);
-            total += commit_cost::SEAL_NS
-                + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-                + Self::spawn_cost(workers)
-                + Self::stolen_phase_cost(tids, workers, |tid| {
-                    cost(
-                        batch,
-                        tid,
-                        commit_cost::APPLY_RUN_NS,
-                        commit_cost::APPLY_BYTE_NS,
-                    ) + next.map_or(0, |n| {
-                        cost(
-                            n,
-                            tid,
-                            commit_cost::STAGE_RUN_NS,
-                            commit_cost::STAGE_BYTE_NS,
-                        )
-                    })
-                })
-                + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS;
-        }
-        total
-    }
-
-    /// [`Self::commit_pipelined_with_workers`] with a [`CommitProbe`]
-    /// observing every protocol boundary and optional stall
-    /// attribution.
-    ///
-    /// Probe streams from this path carry the legal cross-sequence
-    /// overlap — `StageThread` events for N+1 between seal(N) and
-    /// retire(N) — which the sharpened `prosper-analysis` commit-order
-    /// checker validates (stage(N+1) never before seal(N); seal(N+1)
-    /// never before apply(N) drains).
-    ///
-    /// Attribution: the overlap window's staged-ahead work hides
-    /// behind sequence N's apply drain, so it is charged to N's
-    /// `Apply` segment — that *is* the checkpoint-tax win being
-    /// measured. Each sequence's window is tiled by its segments as
-    /// ever (Stage only for the burst head; Seal; Apply), so the
-    /// conservation invariant holds unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined_attributed(
-        &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        workers: usize,
-        probe: Option<&CommitProbe>,
-        acct: Option<&StallAccountant>,
-    ) {
-        if batches.is_empty() {
-            return;
-        }
-        for batch in batches {
-            for tid in self.stacks.keys() {
-                assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
-            }
-        }
-        if self.spine_cfg.is_some() {
-            // Spine mode has no apply drain to hide the next stage
-            // behind — the burst degenerates to back-to-back spine
-            // commits, each already free of the apply copy.
-            let burst_watch = telemetry::Stopwatch::start();
-            for batch in batches {
-                self.commit_attributed(batch, workers, probe, acct);
-            }
-            let burst_ns = burst_watch.elapsed_ns();
-            if telemetry::enabled() {
-                telemetry::with(|t| {
-                    t.registry()
-                        .histogram("prosper.commit.pipeline.burst_ns")
-                        .record(burst_ns);
-                });
-            }
-            return;
-        }
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let first = self.next_sequence;
-        let burst_watch = telemetry::Stopwatch::start();
-        // Head stage: the burst's first batch has no prior apply to
-        // hide behind.
-        let mut window_start = acct.map(StallAccountant::now_ns);
+        let spine = self.spine_cfg.is_some();
         Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-            stack.begin_stage_at(first);
-            for run in &batches[0][&tid] {
-                stack.stage_run(run);
-            }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::StageThread {
-                    tid,
-                    sequence: first,
-                });
-            }
-        });
-        let mut head_stage_end = acct.map(|a| {
-            a.advance(Self::stolen_phase_cost(&tids, workers, |tid| {
-                Self::runs_cost(
-                    &batches[0][&tid],
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
-                )
-            }));
-            a.now_ns()
-        });
-        for (i, batch) in batches.iter().enumerate() {
-            let sequence = first + i as u64;
-            // Seal(sequence): stage(sequence) is complete and — for
-            // i > 0 — apply(sequence-1) fully drained in the previous
-            // fused pass. Bookkeeping + one durable write.
-            let mut record = ProcessCommitRecord {
-                sequence,
-                staged_regs: self.live_regs.clone(),
-                sealed: false,
-            };
-            self.pending = Some(record.clone());
-            record.sealed = true;
-            self.pending = Some(record.clone());
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Seal { sequence });
-            }
-            let seal_end = acct.map(|a| {
-                a.advance(commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-                a.now_ns()
-            });
-            // The overlap window: apply(sequence) drains while the
-            // next batch stages ahead, fused per stack — a stack
-            // stages ahead only once its own apply retired, so the
-            // single staging buffer per stack is never torn between
-            // sequences.
-            let next = batches.get(i + 1);
-            let next_seq = sequence + 1;
-            Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
+            let staged = stack.staging_sequence();
+            if staged > sequence {
+                stack.discard_staging();
+            } else if spine {
+                // A stack whose batch is already on the spine (staged
+                // below `sequence`) has nothing left to redo.
+                if staged == sequence {
+                    stack.seal_to_spine(sequence);
+                    obs.on(CommitEvent::BatchAppend { tid, sequence })?;
+                }
+            } else {
                 for k in 0..stack.staged_runs() {
                     stack.apply_run(k);
+                    obs.on(CommitEvent::ApplyRun {
+                        tid,
+                        runs_applied: k as u32 + 1,
+                        bytes: stack.staged_run_len(k),
+                    })?;
                 }
                 stack.finish_apply(sequence);
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-                }
-                if let Some(next) = next {
-                    stack.begin_stage_at(next_seq);
-                    for run in &next[&tid] {
-                        stack.stage_run(run);
-                    }
-                    if let Some(p) = probe {
-                        p.record(CommitProbeEvent::StageThread {
-                            tid,
-                            sequence: next_seq,
-                        });
-                    }
-                }
-            });
-            // Serial tail: register slots, then retire the record.
+                obs.on(CommitEvent::ApplyThread { tid, sequence })?;
+            }
+            Ok(())
+        })?;
+        obs.on(CommitEvent::PhaseTwoDone)?;
+        if let Some(record) = &self.pending {
             for (tid, regs) in record.staged_regs.iter().enumerate() {
                 self.registers.apply_thread_at(tid, *regs, sequence);
+                obs.on(CommitEvent::RegisterSlot { tid: tid as u32 })?;
             }
-            self.registers.set_committed_sequence(sequence);
-            self.pending = None;
-            self.next_sequence = next_seq;
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Retire { sequence });
-            }
-            let retire_end = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |tid| {
-                        Self::runs_cost(
-                            &batch[&tid],
-                            commit_cost::APPLY_RUN_NS,
-                            commit_cost::APPLY_BYTE_NS,
-                        ) + next.map_or(0, |n| {
-                            Self::runs_cost(
-                                &n[&tid],
-                                commit_cost::STAGE_RUN_NS,
-                                commit_cost::STAGE_BYTE_NS,
-                            )
-                        })
-                    }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            if let (Some(a), Some(ws), Some(se), Some(re)) =
-                (acct, window_start, seal_end, retire_end)
-            {
-                for &tid in &tids {
-                    match head_stage_end {
-                        Some(st) => {
-                            a.record_segment(tid, StallCause::Stage, sequence, ws, st);
-                            a.record_segment(tid, StallCause::Seal, sequence, st, se);
-                        }
-                        None => a.record_segment(tid, StallCause::Seal, sequence, ws, se),
-                    }
-                    a.record_segment(tid, StallCause::Apply, sequence, se, re);
-                    a.record_window(tid, ws, re);
-                }
-            }
-            head_stage_end = None;
-            window_start = retire_end;
-        }
-        let burst_ns = burst_watch.elapsed_ns();
-        if telemetry::enabled() {
-            telemetry::with(|t| {
-                let r = t.registry();
-                r.gauge("prosper.commit.workers").set(workers as i64);
-                r.histogram("prosper.commit.pipeline.burst_ns")
-                    .record(burst_ns);
-            });
-        }
-    }
-
-    /// Serial, crash-windowed twin of one pipelined hand-off: commits
-    /// sequence N and then N+1, staging N+1's runs inside N's apply
-    /// drain exactly as the pipelined burst does, with a named
-    /// [`CrashSite`] at every boundary — including
-    /// [`CrashSite::MidPipelineStage`] inside the overlap window. The
-    /// exhaustive crash matrix drives this path to prove recovery
-    /// lands on exactly N or N+1 from any point of the overlap.
-    ///
-    /// After a crash, the number of `PostSeal` boundaries in the
-    /// injector's crossed-site log equals the number of durable seals
-    /// — exactly how far past the pre-burst sequence recovery must
-    /// land.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either batch misses a registered thread.
-    pub fn commit_pipelined_pair_with_faults(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-    ) -> Result<(), CrashInjected> {
-        self.commit_pipelined_pair_with_faults_attributed(runs_n, runs_n1, inj, None)
-    }
-
-    /// [`Self::commit_pipelined_pair_with_faults`] with stall
-    /// attribution: one scribe window spans both sequences; the
-    /// staged-ahead work inside the overlap is charged to sequence N's
-    /// `Apply` phase (it hides behind the drain), and the scribe
-    /// closes the open phase at the crash instant so torn pipelined
-    /// commits conserve exactly, as the overlap-window crash tests
-    /// assert.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either batch misses a registered thread.
-    pub fn commit_pipelined_pair_with_faults_attributed(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        acct: Option<&StallAccountant>,
-    ) -> Result<(), CrashInjected> {
-        if self.spine_cfg.is_some() {
-            // Spine mode has no apply drain to hide stage(N+1) behind
-            // (see `commit_pipelined`): the pair degenerates to two
-            // back-to-back spine commits, each already free of the
-            // apply copy. The seal-counting recovery rule is
-            // unchanged — one `PostSeal` crossing per durable
-            // sequence.
-            self.commit_with_faults_attributed(runs_n, inj, acct)?;
-            return self.commit_with_faults_attributed(runs_n1, inj, acct);
-        }
-        let mut scribe = acct.map(|a| {
-            FaultScribe::new(a, self.stacks.keys().copied().collect(), self.next_sequence)
-        });
-        let result = self.pipelined_pair_inner(runs_n, runs_n1, inj, scribe.as_mut());
-        if let Some(s) = scribe {
-            s.finish();
-        }
-        result
-    }
-
-    fn pipelined_pair_inner(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        for tid in self.stacks.keys() {
-            assert!(
-                runs_n.contains_key(tid) && runs_n1.contains_key(tid),
-                "no runs supplied for thread {tid}"
-            );
-        }
-        let sequence = self.next_sequence;
-        let next_seq = sequence + 1;
-        crash_window!(inj, CrashSite::PreStage);
-        // Stage N (nothing to overlap with yet).
-        for (tid, stack) in &mut self.stacks {
-            stack.begin_stage_at(sequence);
-            for (k, run) in runs_n[tid].iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        let mut record = ProcessCommitRecord {
-            sequence,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Seal);
-            s.work(self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-        }
-        // Seal(N): the overlap window may open past this point.
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(s) = scribe.as_deref_mut() {
-            s.work(commit_cost::SEAL_NS);
-        }
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        // The overlap window: drain apply(N) stack by stack; each
-        // stack stages N+1's runs the moment its own apply retires,
-        // while later stacks' applies are still pending — the state a
-        // MidPipelineStage crash interrupts.
-        for (tid, stack) in &mut self.stacks {
-            for k in 0..stack.staged_runs() {
-                stack.apply_run(k);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(
-                        commit_cost::APPLY_RUN_NS
-                            + stack.staged_run_len(k) * commit_cost::APPLY_BYTE_NS,
-                    );
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidApply {
-                        tid: *tid,
-                        runs_applied: k as u32 + 1,
-                    }
-                );
-            }
-            stack.finish_apply(sequence);
-            crash_window!(inj, CrashSite::PostApplyThread { tid: *tid });
-            stack.begin_stage_at(next_seq);
-            for (k, run) in runs_n1[tid].iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidPipelineStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
         }
         self.registers.set_committed_sequence(sequence);
         self.pending = None;
-        self.next_sequence = next_seq;
-        crash_window!(inj, CrashSite::PostCommit);
-        // Second hand-off: N+1 staged ahead in the overlap; only its
-        // seal and apply remain. seal(N+1) sits strictly after the
-        // drain of apply(N) — the sharpened invariant in code form.
-        let mut record = ProcessCommitRecord {
-            sequence: next_seq,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase_for(StallCause::Seal, next_seq);
-            s.work(
-                self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS + commit_cost::SEAL_NS,
-            );
-        }
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        self.apply_record(&record, inj, scribe)
+        self.next_sequence = sequence + 1;
+        obs.on(CommitEvent::Retire { sequence })
     }
 
     /// Modelled cost of staging or applying `runs` for one thread.
@@ -1326,13 +1048,9 @@ impl PersistentProcess {
         runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
     }
 
-    /// Makespan of one parallel phase under work-stealing assignment:
-    /// tasks are claimed in tid order by whichever worker frees up
-    /// first, which the model reproduces as greedy list-scheduling —
-    /// each task lands on the currently least-loaded worker — plus a
-    /// fixed dispatch overhead. A parallel phase is as slow as its
-    /// most-loaded worker; uneven per-thread run lists no longer
-    /// inflate the bound the way pre-assigned contiguous chunks did.
+    /// Makespan of one parallel phase under work stealing, modelled as
+    /// greedy list scheduling in tid order (each task lands on the
+    /// least-loaded worker), plus a fixed dispatch overhead.
     fn stolen_phase_cost(tids: &[u32], workers: usize, per_tid: impl Fn(u32) -> u64) -> u64 {
         let workers = workers.clamp(1, tids.len().max(1));
         let mut load = vec![0u64; workers];
@@ -1344,310 +1062,47 @@ impl PersistentProcess {
         commit_cost::PHASE_BASE_NS + load.into_iter().max().unwrap_or(0)
     }
 
-    /// Runs `f` over every stack, fanned out across at most `workers`
-    /// scoped threads. Assignment is work-stealing: each worker claims
-    /// the next unclaimed stack from a shared cursor as it frees up,
-    /// so a worker stuck on a heavy stack never strands the light ones
-    /// behind it (the PR-3 contiguous-chunk scheme did exactly that).
-    fn for_each_stack<F>(stacks: &mut BTreeMap<u32, PersistentStack>, workers: usize, f: F)
+    /// Runs `f` over every stack across at most `workers` scoped
+    /// threads, each claiming the next unclaimed stack from a shared
+    /// cursor, and returns the first crash `f` reported. A worker stops
+    /// at its own crash; the observer stops the others at their next
+    /// boundary.
+    fn for_each_stack<F>(
+        stacks: &mut BTreeMap<u32, PersistentStack>,
+        workers: usize,
+        f: F,
+    ) -> Result<(), CrashInjected>
     where
-        F: Fn(u32, &mut PersistentStack) + Sync,
+        F: Fn(u32, &mut PersistentStack) -> Result<(), CrashInjected> + Sync,
     {
-        let refs: Vec<(u32, &mut PersistentStack)> =
-            stacks.iter_mut().map(|(tid, s)| (*tid, s)).collect();
-        let workers = workers.clamp(1, refs.len().max(1));
+        let workers = workers.clamp(1, stacks.len().max(1));
         if workers == 1 {
-            for (tid, stack) in refs {
-                f(tid, stack);
-            }
-            return;
+            return stacks
+                .iter_mut()
+                .try_for_each(|(&tid, stack)| f(tid, stack));
         }
-        let tasks: Vec<StackTask<'_>> = refs
-            .into_iter()
-            .map(|t| std::sync::Mutex::new(Some(t)))
+        let tasks: Vec<StackTask<'_>> = stacks
+            .iter_mut()
+            .map(|(&tid, stack)| Mutex::new(Some((tid, stack))))
             .collect();
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // lint:allow(PA-ATOMIC007): work-queue ticket counter — only uniqueness matters; each task is published through its Mutex, not this index
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
-                        f(tid, stack);
-                    }
-                });
+        let work = || loop {
+            // lint:allow(PA-ATOMIC007): work-queue ticket counter — only uniqueness matters; each task is published through its Mutex, not this index
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else {
+                return Ok(());
+            };
+            if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
+                f(tid, stack)?;
             }
-        });
-    }
-
-    /// [`Self::commit`] with a crash window at every step boundary.
-    ///
-    /// When the injector fires, the commit stops immediately and
-    /// returns [`CrashInjected`], leaving the persistent state exactly
-    /// as a power failure at that boundary would: the caller then
-    /// simulates the crash ([`Self::crash`]) and recovers
-    /// ([`Self::recover`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_faults(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-    ) -> Result<(), CrashInjected> {
-        self.commit_with_faults_attributed(runs_per_thread, inj, None)
-    }
-
-    /// [`Self::commit_with_faults`] with stall attribution. A
-    /// [`FaultScribe`] tracks the in-progress phase; when a crash
-    /// window fires, the scribe closes the partial segment and the
-    /// stall window at the crash instant, so a torn commit's ledger
-    /// still conserves exactly — the property the crash-matrix
-    /// attribution snapshot archives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_faults_attributed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        acct: Option<&StallAccountant>,
-    ) -> Result<(), CrashInjected> {
-        let mut scribe = acct.map(|a| {
-            FaultScribe::new(a, self.stacks.keys().copied().collect(), self.next_sequence)
-        });
-        let result = self.commit_with_faults_inner(runs_per_thread, inj, scribe.as_mut());
-        if let Some(s) = scribe {
-            s.finish();
-        }
-        result
-    }
-
-    fn commit_with_faults_inner(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        let sequence = self.next_sequence;
-        crash_window!(inj, CrashSite::PreStage);
-        // Phase one: stage every thread's runs...
-        for (tid, stack) in &mut self.stacks {
-            let runs = runs_per_thread
-                .get(tid)
-                .unwrap_or_else(|| panic!("no runs supplied for thread {tid}"));
-            stack.begin_stage_at(sequence);
-            for (k, run) in runs.iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        // ...and the register file, into the unsealed commit record.
-        let mut record = ProcessCommitRecord {
-            sequence: self.next_sequence,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
         };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Seal);
-            // Coordinator bookkeeping (the record's register staging)
-            // is seal-phase work, matching the parallel path.
-            s.work(self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-        }
-        // Seal: the single durable write that commits the checkpoint.
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(s) = scribe.as_deref_mut() {
-            s.work(commit_cost::SEAL_NS);
-        }
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        // Phase two.
-        if let Some(cfg) = self.spine_cfg {
-            return self.spine_phase_two(&record, cfg, inj, scribe);
-        }
-        self.apply_record(&record, inj, scribe)
-    }
-
-    /// Spine-mode phase two of the fault-injected commit: every
-    /// stack's sealed staging buffer is retired to its spine (a crash
-    /// window at each [`CrashSite::BatchSeal`] boundary), the register
-    /// tail runs as in eager mode, the record retires, and the
-    /// deferred merge policy walks its crash-windowed steps
-    /// ([`CrashSite::MidMerge`] between fold steps,
-    /// [`CrashSite::MergeRetire`] after each spine retires).
-    /// Idempotent end to end: recovery re-appends any staging still
-    /// tagged with the record's sequence and re-folds any surviving
-    /// spine.
-    fn spine_phase_two(
-        &mut self,
-        record: &ProcessCommitRecord,
-        cfg: SpineConfig,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        debug_assert!(record.sealed, "spine phase two before the seal");
-        for (tid, stack) in &mut self.stacks {
-            stack.seal_to_spine(record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::BATCH_APPEND_NS);
-            }
-            crash_window!(inj, CrashSite::BatchSeal { tid: *tid });
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
-        }
-        self.registers.set_committed_sequence(record.sequence);
-        self.pending = None;
-        self.next_sequence = record.sequence + 1;
-        crash_window!(inj, CrashSite::PostCommit);
-        // Deferred merge: policy-gated, and it never crosses an
-        // unsealed batch — everything on the spine is sealed by
-        // construction, and the commit above fully retired before the
-        // first fold step runs.
-        for (tid, stack) in &mut self.stacks {
-            if !stack.should_merge(&cfg) {
-                continue;
-            }
-            if let Some(s) = scribe.as_deref_mut() {
-                s.next_phase(StallCause::Merge);
-            }
-            let plan = stack.merge_plan();
-            for step in &plan {
-                stack.apply_merge_step(step);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::MERGE_RUN_NS + step.bytes() * commit_cost::MERGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidMerge {
-                        tid: *tid,
-                        batches_folded: step.batches_folded(),
-                    }
-                );
-            }
-            stack.retire_spine();
-            crash_window!(inj, CrashSite::MergeRetire { tid: *tid });
-        }
-        Ok(())
-    }
-
-    /// The parallel twin of [`Self::apply_record`]: applies every
-    /// staging buffer across scoped workers, then the register slots
-    /// serially, then retires the record. Idempotent, so recovery
-    /// replays it from any interruption point; no crash windows — the
-    /// deterministic sweep uses the serial path. Recovery's redo runs
-    /// through here, so the path carries no `panic!`/`unwrap`/`expect`
-    /// (enforced by lint rule `PA-PANIC004`).
-    fn apply_record_parallel(
-        &mut self,
-        record: &ProcessCommitRecord,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-    ) {
-        debug_assert!(record.sealed, "apply before the seal");
-        let sequence = record.sequence;
-        Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-            if stack.staging_sequence() > sequence {
-                // Pipelined overlap: this stack finished applying
-                // `sequence` and staged ahead for the next one before
-                // the crash. The staged-ahead buffer is unsealed by
-                // protocol (no seal(N+1) before apply(N) drains), so
-                // redo discards it; the already-applied state stands.
-                stack.discard_staging();
-            } else {
-                for k in 0..stack.staged_runs() {
-                    stack.apply_run(k);
-                }
-                stack.finish_apply(sequence);
-            }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-            }
-        });
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, sequence);
-        }
-        self.registers.set_committed_sequence(sequence);
-        self.pending = None;
-        self.next_sequence = sequence + 1;
-        if let Some(p) = probe {
-            p.record(CommitProbeEvent::Retire { sequence });
-        }
-    }
-
-    /// Applies the sealed commit record: every staging buffer, then
-    /// every register slot, then retires the record. Idempotent, so
-    /// recovery replays it from any interruption point.
-    fn apply_record(
-        &mut self,
-        record: &ProcessCommitRecord,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        debug_assert!(record.sealed, "apply before the seal");
-        for (tid, stack) in &mut self.stacks {
-            for k in 0..stack.staged_runs() {
-                stack.apply_run(k);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(
-                        commit_cost::APPLY_RUN_NS
-                            + stack.staged_run_len(k) * commit_cost::APPLY_BYTE_NS,
-                    );
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidApply {
-                        tid: *tid,
-                        runs_applied: k as u32 + 1,
-                    }
-                );
-            }
-            stack.finish_apply(record.sequence);
-            crash_window!(inj, CrashSite::PostApplyThread { tid: *tid });
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
-        }
-        self.registers.set_committed_sequence(record.sequence);
-        self.pending = None;
-        self.next_sequence = record.sequence + 1;
-        crash_window!(inj, CrashSite::PostCommit);
-        Ok(())
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .fold(Ok(()), Result::and)
+        })
     }
 
     /// Simulates a power failure: all live registers and volatile
@@ -1659,163 +1114,74 @@ impl PersistentProcess {
         self.live_regs = vec![RegisterFile::default(); self.live_regs.len()];
     }
 
-    /// Recovers the process to one coherent checkpoint.
-    ///
-    /// If a sealed commit record exists, the crash hit after the
-    /// commit point: the apply is **redone** from the staged state
-    /// (idempotently), landing every stack and every register slot on
-    /// the record's sequence. Without a sealed record, all staging is
-    /// discarded and the previous checkpoint stands. Either way no
-    /// component can recover at a different sequence than the rest.
+    /// Recovers the process to one coherent checkpoint: a sealed record
+    /// has phase two **redone** (idempotently), landing every stack and
+    /// register slot on its sequence; without one all staging is
+    /// discarded and the previous checkpoint stands. Surviving spines
+    /// are then folded into the persistent images.
     ///
     /// # Errors
     ///
     /// Returns [`NoValidCheckpoint`] if no complete checkpoint exists.
     pub fn recover(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
-        self.recover_attributed(None)
+        self.recover_with(&())
     }
 
-    /// [`Self::recover`] with stall attribution: the whole replay —
-    /// redo of a sealed record or discard of an unsealed one — is
-    /// charged to every thread as a single `Recovery`-cause segment
-    /// with a matching stall window, tagged with the sequence being
-    /// redone (0 when nothing was sealed). Under a virtual clock the
-    /// replay cost is modelled from the staged runs/bytes actually
-    /// replayed, so crash-point choice shows up in the timeline.
-    ///
-    /// This is a recovery-surface function: it must stay panic-free
-    /// (`PA-PANIC004`), which the accountant guarantees by never
-    /// panicking on its own lock.
+    /// [`Self::recover`] reporting one [`CommitEvent::Recover`] (the
+    /// sequence redone, 0 if none, and the runs and bytes replayed) and
+    /// a closing `End` to `observer`. The redo always runs to completion;
+    /// a second power failure is another `crash` + `recover`. Panic-free
+    /// (`PA-PANIC004`).
     ///
     /// # Errors
     ///
     /// Returns [`NoValidCheckpoint`] if no complete checkpoint exists.
-    pub fn recover_attributed(
+    pub fn recover_with<O: CommitObserver + ?Sized>(
         &mut self,
-        acct: Option<&StallAccountant>,
+        observer: &O,
     ) -> Result<RecoveredState, NoValidCheckpoint> {
-        let Some(acct) = acct else {
-            return self.recover_inner();
-        };
-        // Spine mode also re-folds any surviving batches during the
-        // replay; in eager mode the spines are empty and this is zero.
-        let spine_fold_ns: u64 = self
-            .stacks
-            .values()
-            .map(|s| {
-                s.spine().iter().map(|b| b.runs() as u64).sum::<u64>()
-                    * commit_cost::RECOVERY_RUN_NS
-                    + s.spine_bytes() * commit_cost::RECOVERY_BYTE_NS
-            })
-            .sum();
-        let (sequence, redo_ns) = match &self.pending {
-            Some(record) if record.sealed => (
-                record.sequence,
-                commit_cost::RECOVERY_BASE_NS
-                    + spine_fold_ns
-                    + self
-                        .stacks
-                        .values()
-                        .map(|s| {
-                            s.staged_runs() as u64 * commit_cost::RECOVERY_RUN_NS
-                                + s.staged_bytes() * commit_cost::RECOVERY_BYTE_NS
-                        })
-                        .sum::<u64>(),
-            ),
-            _ => (0, commit_cost::RECOVERY_BASE_NS + spine_fold_ns),
-        };
-        let start = acct.now_ns();
-        let result = self.recover_inner();
-        acct.advance(redo_ns);
-        let end = acct.now_ns();
-        for tid in self.stacks.keys() {
-            acct.record_segment(*tid, StallCause::Recovery, sequence, start, end);
-            acct.record_window(*tid, start, end);
-        }
-        result
-    }
-
-    fn recover_inner(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
-        if self.spine_cfg.is_some() || self.stacks.values().any(|s| s.spine_batches() > 0) {
-            return self.recover_inner_spine();
-        }
-        match self.pending.clone() {
-            Some(record) if record.sealed => {
-                // Redo through the parallel apply — the crash matrix
-                // recovers after every post-seal crash, so this path is
-                // exhaustively exercised against torn commits.
-                let workers = Self::default_workers(self.stacks.len());
-                self.apply_record_parallel(&record, workers, None);
+        let sealed = self
+            .pending
+            .as_ref()
+            .filter(|r| r.sealed)
+            .map(|r| r.sequence);
+        let (mut runs, mut bytes) = (0u64, 0u64);
+        for stack in self.stacks.values() {
+            runs += stack.spine().iter().map(|b| b.runs() as u64).sum::<u64>();
+            bytes += stack.spine_bytes();
+            if sealed.is_some() {
+                runs += stack.staged_runs() as u64;
+                bytes += stack.staged_bytes();
             }
-            Some(_) => {
-                // The commit never sealed: discard it wholesale.
-                self.pending = None;
-                for stack in self.stacks.values_mut() {
-                    stack.discard_staging();
-                }
-            }
-            None => {}
         }
-        for stack in self.stacks.values_mut() {
-            stack.recover_after_crash();
-        }
-        let regs = self.registers.recover()?;
-        self.live_regs.clone_from(&regs);
-        Ok(RecoveredState {
-            regs,
-            sequence: self.registers.committed_sequence,
-        })
-    }
-
-    /// Spine-mode recovery: a sealed record is redone by re-appending
-    /// any staging still tagged with its sequence (a batch-seal crash
-    /// leaves some stacks un-appended), staged-ahead or unsealed
-    /// buffers are discarded, then every surviving spine is folded
-    /// newest-wins into its persistent image and the volatile images
-    /// rebuilt — recovery always sees a prefix-closed spine of sealed
-    /// batches, so the fold lands byte-identical to eager apply.
-    /// Panic-free (`PA-PANIC004`): this whole path is recovery
-    /// surface.
-    fn recover_inner_spine(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
-        match self.pending.clone() {
-            Some(record) if record.sealed => {
-                for stack in self.stacks.values_mut() {
-                    if stack.staging_sequence() == record.sequence {
-                        // The seal was the commit point: redo the
-                        // batch append the crash interrupted.
-                        stack.seal_to_spine(record.sequence);
-                    } else if stack.staging_sequence() > record.sequence {
-                        // Staged ahead for a later, never-sealed
-                        // sequence: discard.
-                        stack.discard_staging();
-                    }
-                }
-                for (tid, regs) in record.staged_regs.iter().enumerate() {
-                    self.registers.apply_thread_at(tid, *regs, record.sequence);
-                }
-                self.registers.set_committed_sequence(record.sequence);
-                self.pending = None;
-                self.next_sequence = record.sequence + 1;
+        let _ = observer.on(CommitEvent::Recover {
+            sequence: sealed.unwrap_or(0),
+            threads: self.stacks.len() as u32,
+            runs,
+            bytes,
+        });
+        if sealed.is_some() {
+            let workers = Self::default_workers(self.stacks.len());
+            let _ = self.apply_record(workers, &());
+        } else if self.pending.take().is_some() {
+            // The commit never sealed: discard it wholesale.
+            for stack in self.stacks.values_mut() {
+                stack.discard_staging();
             }
-            Some(_) => {
-                // The commit never sealed: discard it wholesale.
-                self.pending = None;
-                for stack in self.stacks.values_mut() {
-                    stack.discard_staging();
-                }
-            }
-            None => {}
         }
         for stack in self.stacks.values_mut() {
             stack.merge_spine();
             stack.recover_after_crash();
         }
-        let regs = self.registers.recover()?;
-        self.live_regs.clone_from(&regs);
-        Ok(RecoveredState {
-            regs,
-            sequence: self.registers.committed_sequence,
-        })
+        let result = self.registers.recover().map(|regs| {
+            self.live_regs.clone_from(&regs);
+            RecoveredState {
+                regs,
+                sequence: self.registers.committed_sequence,
+            }
+        });
+        let _ = observer.on(CommitEvent::End);
+        result
     }
 
     /// Checks the cross-component sequence invariant: every thread's
@@ -1882,7 +1248,6 @@ impl PersistentProcess {
         Ok(seq)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1911,6 +1276,15 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A serial commit with the crash windows of `inj`.
+    fn faulted(
+        p: &mut PersistentProcess,
+        runs: &BTreeMap<u32, Vec<CopyRun>>,
+        inj: &mut FaultInjector,
+    ) -> Result<(), CrashInjected> {
+        p.commit_with(runs, 1, &CrashWindows::new(inj))
     }
 
     #[test]
@@ -1999,12 +1373,12 @@ mod tests {
     #[test]
     fn crash_between_thread_stack_applies_recovers_one_sequence() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        let err = p
-            .commit_with_faults(
-                &runs,
-                &mut FaultInjector::at_site(CrashSite::PostApplyThread { tid: 0 }),
-            )
-            .unwrap_err();
+        let err = faulted(
+            &mut p,
+            &runs,
+            &mut FaultInjector::at_site(CrashSite::PostApplyThread { tid: 0 }),
+        )
+        .unwrap_err();
         assert_eq!(err.site, CrashSite::PostApplyThread { tid: 0 });
         p.crash();
         let rec = p.recover().unwrap();
@@ -2030,12 +1404,12 @@ mod tests {
     #[test]
     fn crash_between_stacks_and_registers_recovers_one_sequence() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        let err = p
-            .commit_with_faults(
-                &runs,
-                &mut FaultInjector::at_site(CrashSite::PostApplyPreRegisters),
-            )
-            .unwrap_err();
+        let err = faulted(
+            &mut p,
+            &runs,
+            &mut FaultInjector::at_site(CrashSite::PostApplyPreRegisters),
+        )
+        .unwrap_err();
         assert_eq!(err.site, CrashSite::PostApplyPreRegisters);
         p.crash();
         let rec = p.recover().unwrap();
@@ -2059,7 +1433,7 @@ mod tests {
             CrashPlan::AtSite(CrashSite::PreSeal),
         ] {
             let mut inj = FaultInjector::new(plan);
-            p.commit_with_faults(&runs, &mut inj).unwrap_err();
+            faulted(&mut p, &runs, &mut inj).unwrap_err();
             p.crash();
             let rec = p.recover().unwrap();
             assert_eq!(rec.sequence, 1, "pre-seal crash keeps sequence 1");
@@ -2103,10 +1477,9 @@ mod tests {
         let mut serial = build();
         let mut parallel = build();
         let runs = full_runs(&serial, &[0, 1, 2, 3]);
-        serial
-            .commit_with_faults(&runs, &mut FaultInjector::disabled())
+        faulted(&mut serial, &runs, &mut FaultInjector::disabled())
             .expect("a disabled injector never fires");
-        parallel.commit_with_workers(&runs, 4);
+        parallel.commit_with(&runs, 4, &()).unwrap();
         assert_eq!(serial.committed_sequence(), parallel.committed_sequence());
         serial.crash();
         parallel.crash();
@@ -2137,7 +1510,7 @@ mod tests {
                 let r = p.stack(tid).range();
                 p.record_store(tid, r.start() + 128, &[i as u8 + 1; 32]);
             }
-            p.commit_with_workers(&runs, workers);
+            p.commit_with(&runs, workers, &()).unwrap();
             assert_eq!(p.committed_sequence(), i as u64 + 1);
             assert_eq!(p.verify_coherent().unwrap(), i as u64 + 1);
         }
@@ -2158,7 +1531,8 @@ mod tests {
     #[test]
     fn repeated_recovery_is_idempotent() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        p.commit_with_faults(
+        faulted(
+            &mut p,
             &runs,
             &mut FaultInjector::at_site(CrashSite::MidApply {
                 tid: 0,
@@ -2241,7 +1615,7 @@ mod tests {
         }
         let runs = full_runs(&p, &tids);
         let acct = StallAccountant::new_virtual();
-        p.commit_attributed(&runs, 1, None, Some(&acct));
+        p.commit_with(&runs, 1, &StallLedger::new(&acct)).unwrap();
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
         let expected_stage = PersistentProcess::stolen_phase_cost(&tids, 1, |tid| {
@@ -2271,276 +1645,6 @@ mod tests {
                 expected_seal,
                 "thread {tid}: bookkeeping belongs to the seal segment"
             );
-        }
-    }
-
-    /// The pipelined burst must land byte-identical persistent state
-    /// to the same batches committed one by one, at every worker
-    /// width.
-    #[test]
-    fn pipelined_burst_matches_sequential_commits() {
-        for workers in [1usize, 2, 4] {
-            let build = || {
-                let mut p = PersistentProcess::new(&ranges(4));
-                for tid in 0..4u32 {
-                    let r = p.stack(tid).range();
-                    for k in 0..12u64 {
-                        p.record_store(tid, r.start() + k * 256, &[tid as u8 + k as u8; 32]);
-                    }
-                    p.regs_mut(tid).rip = 0x4000 + u64::from(tid);
-                }
-                p
-            };
-            // Batch i covers a distinct slice of each stack.
-            let mut sequential = build();
-            let mut pipelined = build();
-            let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
-                .map(|i| {
-                    (0..4u32)
-                        .map(|tid| {
-                            let r = sequential.stack(tid).range();
-                            (
-                                tid,
-                                vec![CopyRun {
-                                    start: r.start() + i * 1024,
-                                    len: 1024,
-                                }],
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            for batch in &batches {
-                sequential.commit_with_workers(batch, workers);
-            }
-            pipelined.commit_pipelined_with_workers(&batches, workers);
-            assert_eq!(
-                sequential.committed_sequence(),
-                pipelined.committed_sequence()
-            );
-            sequential.crash();
-            pipelined.crash();
-            let rs = sequential.recover().unwrap();
-            let rp = pipelined.recover().unwrap();
-            assert_eq!(rs.sequence, rp.sequence);
-            assert_eq!(pipelined.verify_coherent().unwrap(), 3);
-            for tid in 0..4u32 {
-                let r = sequential.stack(tid).range();
-                assert_eq!(
-                    sequential.stack(tid).volatile().read(r.start(), 4096),
-                    pipelined.stack(tid).volatile().read(r.start(), 4096),
-                    "workers={workers} thread {tid}: identical recovered bytes"
-                );
-                assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
-            }
-        }
-    }
-
-    /// The serial pipelined probe stream shows exactly the legal
-    /// overlap: stage(N+1) after seal(N) but before retire(N), and
-    /// seal(N+1) only after every apply(N).
-    #[test]
-    fn pipelined_probe_stream_overlaps_legally() {
-        let mut p = PersistentProcess::new(&ranges(2));
-        for tid in 0..2u32 {
-            let r = p.stack(tid).range();
-            p.record_store(tid, r.start() + 16, &[7; 8]);
-        }
-        let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> =
-            (0..2).map(|_| full_runs(&p, &[0, 1])).collect();
-        let probe = CommitProbe::new();
-        p.commit_pipelined_attributed(&batches, 1, Some(&probe), None);
-        let events = probe.events();
-        use CommitProbeEvent as E;
-        assert_eq!(
-            events,
-            vec![
-                E::StageThread {
-                    tid: 0,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 1,
-                    sequence: 1
-                },
-                E::Seal { sequence: 1 },
-                E::ApplyThread {
-                    tid: 0,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 0,
-                    sequence: 2
-                },
-                E::ApplyThread {
-                    tid: 1,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 1,
-                    sequence: 2
-                },
-                E::Retire { sequence: 1 },
-                E::Seal { sequence: 2 },
-                E::ApplyThread {
-                    tid: 0,
-                    sequence: 2
-                },
-                E::ApplyThread {
-                    tid: 1,
-                    sequence: 2
-                },
-                E::Retire { sequence: 2 },
-            ],
-            "stage(2) interleaves apply(1) — after seal(1), before retire(1)"
-        );
-        // At any width the sharpened invariant holds on the stream.
-        let mut p4 = PersistentProcess::new(&ranges(4));
-        let batches4: Vec<BTreeMap<u32, Vec<CopyRun>>> =
-            (0..3).map(|_| full_runs(&p4, &[0, 1, 2, 3])).collect();
-        let probe4 = CommitProbe::new();
-        p4.commit_pipelined_attributed(&batches4, 4, Some(&probe4), None);
-        let ev4 = probe4.events();
-        let pos_seal = |seq: u64| {
-            ev4.iter()
-                .position(|e| *e == E::Seal { sequence: seq })
-                .unwrap()
-        };
-        for seq in 2..=3u64 {
-            let seal_prior = pos_seal(seq - 1);
-            let seal_this = pos_seal(seq);
-            for (i, e) in ev4.iter().enumerate() {
-                if let E::StageThread { sequence, .. } = e {
-                    if *sequence == seq {
-                        assert!(i > seal_prior, "stage({seq}) before seal({})", seq - 1);
-                    }
-                }
-                if let E::ApplyThread { sequence, .. } = e {
-                    if *sequence == seq - 1 {
-                        assert!(
-                            i < seal_this,
-                            "seal({seq}) before apply({}) drained",
-                            seq - 1
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exhaustive sweep of the pipelined pair's crash windows: from
-    /// any site — including every `MidPipelineStage` inside the
-    /// overlap — recovery lands on exactly N or N+1 (decided by how
-    /// many seals went durable), stays coherent, and the stall ledger
-    /// still conserves.
-    #[test]
-    fn pipelined_pair_crash_sweep_lands_on_n_or_n_plus_one() {
-        let base = || {
-            let mut p = PersistentProcess::new(&ranges(2));
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 0x100, &[0xaa; 16]);
-            }
-            let prior = full_runs(&p, &[0, 1]);
-            p.commit(&prior);
-            // Distinct per-sequence payloads at disjoint offsets.
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 0x200, &[0xbb; 16]);
-                p.record_store(tid, r.start() + 0x400, &[0xcc; 16]);
-            }
-            let runs_n: BTreeMap<u32, Vec<CopyRun>> = (0..2u32)
-                .map(|tid| {
-                    let r = p.stack(tid).range();
-                    (
-                        tid,
-                        vec![
-                            CopyRun {
-                                start: r.start() + 0x200,
-                                len: 16,
-                            },
-                            CopyRun {
-                                start: r.start() + 0x210,
-                                len: 16,
-                            },
-                        ],
-                    )
-                })
-                .collect();
-            let runs_n1: BTreeMap<u32, Vec<CopyRun>> = (0..2u32)
-                .map(|tid| {
-                    let r = p.stack(tid).range();
-                    (
-                        tid,
-                        vec![
-                            CopyRun {
-                                start: r.start() + 0x400,
-                                len: 16,
-                            },
-                            CopyRun {
-                                start: r.start() + 0x410,
-                                len: 16,
-                            },
-                        ],
-                    )
-                })
-                .collect();
-            (p, runs_n, runs_n1)
-        };
-        // Enumerate every crash window of the pair.
-        let (mut p, runs_n, runs_n1) = base();
-        let mut rec_inj = FaultInjector::disabled();
-        p.commit_pipelined_pair_with_faults(&runs_n, &runs_n1, &mut rec_inj)
-            .unwrap();
-        assert_eq!(p.verify_coherent().unwrap(), 3, "clean pair lands on N+1");
-        let sites: Vec<CrashSite> = rec_inj.crossed().to_vec();
-        assert!(
-            sites
-                .iter()
-                .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })),
-            "the pair schedule must cross the overlap window"
-        );
-        for (index, site) in sites.iter().enumerate() {
-            let (mut p, runs_n, runs_n1) = base();
-            let acct = StallAccountant::new_virtual();
-            let mut inj = FaultInjector::at_index(index as u64);
-            let err = p
-                .commit_pipelined_pair_with_faults_attributed(
-                    &runs_n,
-                    &runs_n1,
-                    &mut inj,
-                    Some(&acct),
-                )
-                .unwrap_err();
-            assert_eq!(err.site, *site, "deterministic site order");
-            let seals = inj
-                .crossed()
-                .iter()
-                .filter(|s| **s == CrashSite::PostSeal)
-                .count() as u64;
-            let expected = 1 + seals; // pre-pair sequence was 1
-            p.crash();
-            let rec = p.recover_attributed(Some(&acct)).unwrap();
-            assert_eq!(
-                rec.sequence, expected,
-                "site {site}: recovery must land on exactly N or N+1"
-            );
-            assert!(
-                (2..=3).contains(&expected) || expected == 1,
-                "expected sequence in the pair's range"
-            );
-            assert_eq!(p.verify_coherent().unwrap(), expected);
-            // Payload visibility follows the recovered sequence.
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                let has_n = p.stack(tid).volatile().read(r.start() + 0x200, 16) == vec![0xbb; 16];
-                let has_n1 = p.stack(tid).volatile().read(r.start() + 0x400, 16) == vec![0xcc; 16];
-                assert_eq!(has_n, expected >= 2, "site {site}: N payload");
-                assert_eq!(has_n1, expected >= 3, "site {site}: N+1 payload");
-            }
-            acct.snapshot()
-                .verify_conservation()
-                .unwrap_or_else(|e| panic!("site {site}: torn pair must conserve: {e}"));
         }
     }
 
@@ -2674,9 +1778,7 @@ mod tests {
                     probe_p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
                 }
                 let runs = partial_runs(&probe_p, 0x100, 8);
-                probe_p
-                    .commit_with_faults(&runs, &mut inj)
-                    .expect("record mode never fires");
+                faulted(&mut probe_p, &runs, &mut inj).expect("record mode never fires");
             }
             inj.crossed().to_vec()
         };
@@ -2709,7 +1811,7 @@ mod tests {
                     p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
                 }
                 let runs = partial_runs(&p, 0x100, 8);
-                match p.commit_with_faults(&runs, &mut inj) {
+                match faulted(&mut p, &runs, &mut inj) {
                     Ok(()) => expected = round + 1,
                     Err(c) => {
                         if c.site.is_post_seal() {
@@ -2762,48 +1864,6 @@ mod tests {
     }
 
     #[test]
-    fn spine_pipelined_burst_degenerates_to_sequential_commits() {
-        let mut spine = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::lazy(64));
-        let mut eager = PersistentProcess::new(&ranges(2));
-        for p in [&mut spine, &mut eager] {
-            let mut batches = Vec::new();
-            for seq in 0..3u64 {
-                for tid in 0..2u32 {
-                    let r = p.stack(tid).range();
-                    p.record_store(tid, r.start() + 0x40 * (seq + 1), &[seq as u8 + 1; 8]);
-                }
-                batches.push(
-                    (0..2u32)
-                        .map(|tid| {
-                            let r = p.stack(tid).range();
-                            (
-                                tid,
-                                vec![CopyRun {
-                                    start: r.start() + 0x40 * (seq + 1),
-                                    len: 8,
-                                }],
-                            )
-                        })
-                        .collect::<BTreeMap<_, _>>(),
-                );
-            }
-            p.commit_pipelined(&batches);
-        }
-        assert_eq!(spine.committed_sequence(), 3);
-        assert_eq!(eager.committed_sequence(), 3);
-        spine.merge_all_spines();
-        for tid in 0..2u32 {
-            assert!(
-                spine
-                    .stack(tid)
-                    .persistent()
-                    .matches(eager.stack(tid).persistent(), spine.stack(tid).range()),
-                "thread {tid}: pipelined spine burst differs from eager"
-            );
-        }
-    }
-
-    #[test]
     fn spine_commit_attributes_merge_stalls() {
         let acct = StallAccountant::new_virtual();
         let mut p = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always());
@@ -2813,7 +1873,7 @@ mod tests {
                 p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
             }
             let runs = partial_runs(&p, 0x100, 8);
-            p.commit_attributed(&runs, 1, None, Some(&acct));
+            p.commit_with(&runs, 1, &StallLedger::new(&acct)).unwrap();
         }
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
@@ -2821,5 +1881,160 @@ mod tests {
             snap.segments.iter().any(|s| s.cause == StallCause::Merge),
             "merge_always under attribution must record Merge segments"
         );
+    }
+
+    /// Commits three rounds of per-thread stores at `workers` through
+    /// `observe`, which picks the observer for each commit.
+    fn three_rounds(
+        spine: bool,
+        workers: usize,
+        mut commit: impl FnMut(&mut PersistentProcess, &BTreeMap<u32, Vec<CopyRun>>, usize),
+    ) -> PersistentProcess {
+        let mut p = if spine {
+            PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always())
+        } else {
+            PersistentProcess::new(&ranges(2))
+        };
+        for round in 0..3u64 {
+            for tid in 0..2u32 {
+                let r = p.stack(tid).range();
+                p.record_store(tid, r.start() + 0x100 * (round + 1), &[round as u8 + 1; 48]);
+                p.regs_mut(tid).rip = 0x500 + round;
+            }
+            let runs = full_runs(&p, &[0, 1]);
+            commit(&mut p, &runs, workers);
+        }
+        p
+    }
+
+    /// One charging rule: the same clean commits charged through a
+    /// disabled injector's crash windows and through the plain ledger
+    /// leave byte-identical ledgers and byte-identical persistent
+    /// state, in eager and spine mode, serial and parallel.
+    #[test]
+    fn crash_windows_charge_exactly_like_the_plain_ledger() {
+        for spine in [false, true] {
+            for workers in [1usize, 2] {
+                let plain_acct = StallAccountant::new_virtual();
+                let plain = three_rounds(spine, workers, |p, runs, w| {
+                    p.commit_with(runs, w, &StallLedger::new(&plain_acct))
+                        .unwrap();
+                });
+                let faulted_acct = StallAccountant::new_virtual();
+                let mut inj = FaultInjector::disabled();
+                let windowed = three_rounds(spine, workers, |p, runs, w| {
+                    let ledger = StallLedger::new(&faulted_acct);
+                    p.commit_with(runs, w, &CrashWindows::with(&mut inj, ledger))
+                        .unwrap();
+                });
+                let (a, b) = (plain_acct.snapshot(), faulted_acct.snapshot());
+                a.verify_conservation().unwrap();
+                assert_eq!(
+                    serde_json::to_string(&a).unwrap(),
+                    serde_json::to_string(&b).unwrap(),
+                    "spine={spine} workers={workers}: ledgers differ"
+                );
+                for tid in 0..2u32 {
+                    let r = plain.stack(tid).range();
+                    assert_eq!(
+                        plain
+                            .stack(tid)
+                            .persistent()
+                            .read(r.start(), r.len() as usize),
+                        windowed
+                            .stack(tid)
+                            .persistent()
+                            .read(r.start(), r.len() as usize),
+                        "spine={spine} workers={workers} thread {tid}: persistent images differ"
+                    );
+                    assert_eq!(plain.stack(tid).spine(), windowed.stack(tid).spine());
+                }
+                assert_eq!(plain.committed_sequence(), windowed.committed_sequence());
+            }
+        }
+    }
+
+    /// A clean eager commit's ledger window is exactly the cost the
+    /// worker selector models for it, spawns aside: both charge each
+    /// phase once from `stolen_phase_cost`.
+    #[test]
+    fn clean_commit_window_matches_the_selector_model() {
+        let tids = [0u32, 1, 2];
+        for workers in [1usize, 2, 3] {
+            let mut p = PersistentProcess::new(&ranges(3));
+            let runs: BTreeMap<u32, Vec<CopyRun>> = tids
+                .iter()
+                .map(|&tid| {
+                    let r = p.stack(tid).range();
+                    let len = 64 * (u64::from(tid) + 1);
+                    (
+                        tid,
+                        vec![
+                            CopyRun {
+                                start: r.start(),
+                                len
+                            };
+                            tid as usize + 1
+                        ],
+                    )
+                })
+                .collect();
+            let acct = StallAccountant::new_virtual();
+            p.commit_with(&runs, workers, &StallLedger::new(&acct))
+                .unwrap();
+            let snap = acct.snapshot();
+            snap.verify_conservation().unwrap();
+            let modelled = PersistentProcess::modeled_commit_ns(&tids, workers, &runs, false)
+                - 2 * PersistentProcess::spawn_cost(workers);
+            for w in &snap.windows {
+                assert_eq!(w.duration_ns(), modelled, "workers={workers}");
+            }
+        }
+    }
+
+    /// A crash fired on one worker of a parallel phase stops the whole
+    /// commit: before the seal recovery keeps the previous checkpoint,
+    /// after it recovery redoes the commit — at any worker count.
+    #[test]
+    fn parallel_crash_recovers_on_one_sequence() {
+        for workers in [2usize, 4] {
+            for (site, expected) in [
+                (
+                    CrashSite::MidStage {
+                        tid: 1,
+                        runs_staged: 1,
+                    },
+                    1,
+                ),
+                (
+                    CrashSite::MidApply {
+                        tid: 1,
+                        runs_applied: 1,
+                    },
+                    2,
+                ),
+                (CrashSite::PostApplyThread { tid: 0 }, 2),
+            ] {
+                let (mut p, runs) = two_thread_mid_commit_setup();
+                let mut inj = FaultInjector::at_site(site);
+                let err = p
+                    .commit_with(&runs, workers, &CrashWindows::new(&mut inj))
+                    .unwrap_err();
+                assert_eq!(err.site, site);
+                p.crash();
+                let rec = p.recover().unwrap();
+                assert_eq!(rec.sequence, expected, "workers={workers} site {site}");
+                assert_eq!(p.verify_coherent().unwrap(), expected);
+                for tid in 0..2u32 {
+                    let r = p.stack(tid).range();
+                    let byte = if expected == 2 { 0x20 } else { 0x10 };
+                    assert_eq!(
+                        p.stack(tid).volatile().read(r.start() + 32, 16),
+                        vec![byte + tid as u8; 16],
+                        "workers={workers} site {site} thread {tid}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use prosper_core::bitmap::CopyRun;
-use prosper_core::recovery::PersistentProcess;
+use prosper_core::recovery::{CrashWindows, PersistentProcess};
 use prosper_core::SpineConfig;
 use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -101,8 +101,8 @@ impl Differential {
         // A first full checkpoint so recovery always has a valid
         // sealed state to land on.
         let runs = full_runs(threads);
-        d.spine.commit_attributed(&runs, 1, None, None);
-        d.eager.commit_attributed(&runs, 1, None, None);
+        d.spine.commit_with(&runs, 1, &()).unwrap();
+        d.eager.commit_with(&runs, 1, &()).unwrap();
         d
     }
 
@@ -146,8 +146,8 @@ impl Differential {
 
     fn commit(&mut self) {
         let runs = self.take_runs();
-        self.spine.commit_attributed(&runs, 1, None, None);
-        self.eager.commit_attributed(&runs, 1, None, None);
+        self.spine.commit_with(&runs, 1, &()).unwrap();
+        self.eager.commit_with(&runs, 1, &()).unwrap();
     }
 
     /// Asserts the spine's effective durable bytes equal the eager
@@ -241,7 +241,7 @@ proptest! {
         let before = d.spine.committed_sequence();
         let runs = d.take_runs();
         let mut inj = FaultInjector::at_index(crash_index);
-        let crashed = d.spine.commit_with_faults(&runs, &mut inj).is_err();
+        let crashed = d.spine.commit_with(&runs, 1, &CrashWindows::new(&mut inj)).is_err();
         d.spine.crash();
         let recovered = d
             .spine
@@ -258,7 +258,7 @@ proptest! {
         );
         // Mirror the durable prefix on the eager reference.
         if recovered.sequence == before + 1 {
-            d.eager.commit_attributed(&runs, 1, None, None);
+            d.eager.commit_with(&runs, 1, &()).unwrap();
         }
         d.eager.crash();
         let ref_recovered = d.eager.recover().expect("reference recovers");
@@ -307,7 +307,7 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
         let before = d.spine.committed_sequence();
         let runs = d.take_runs();
         let mut inj = FaultInjector::at_index(index);
-        let outcome = d.spine.commit_with_faults(&runs, &mut inj);
+        let outcome = d.spine.commit_with(&runs, 1, &CrashWindows::new(&mut inj));
         match outcome {
             Err(CrashInjected { site }) => match site {
                 CrashSite::BatchSeal { .. } => hit_batch_seal = true,
@@ -322,7 +322,7 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
         d.spine.crash();
         let recovered = d.spine.recover().expect("sweep scenario recovers");
         if recovered.sequence == before + 1 {
-            d.eager.commit_attributed(&runs, 1, None, None);
+            d.eager.commit_with(&runs, 1, &()).unwrap();
         }
         d.eager.crash();
         let reference = d.eager.recover().expect("reference recovers");

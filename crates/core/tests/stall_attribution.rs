@@ -14,7 +14,7 @@ use prosper_core::bitmap::CopyRun;
 use prosper_core::faultinject::{
     enumerate_crash_sites, run_attributed, run_crash_attributed, CrashMatrixConfig,
 };
-use prosper_core::recovery::{CommitProbe, CommitProbeEvent, PersistentProcess};
+use prosper_core::recovery::{CommitProbe, CommitProbeEvent, PersistentProcess, StallLedger};
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -209,7 +209,8 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
     let probe = CommitProbe::new();
     let acct = StallAccountant::new_virtual();
     for _ in 0..3 {
-        p.commit_attributed(&runs, 2, Some(&probe), Some(&acct));
+        p.commit_with(&runs, 2, &(&probe, StallLedger::new(&acct)))
+            .unwrap();
     }
     let snap = acct.snapshot();
     snap.verify_conservation().expect("witnessed run conserves");

@@ -87,18 +87,6 @@ pub enum CrashSite {
         /// Runs applied so far.
         runs_applied: u32,
     },
-    /// Pipelined-commit overlap window: thread `tid` has staged
-    /// `runs_staged` of sequence N+1's copy runs while sealed record
-    /// N's apply is still draining on other threads. The N+1 staging
-    /// is unsealed (seal(N+1) cannot happen before apply(N) finishes),
-    /// so recovery redoes record N and discards the staged-ahead
-    /// buffers.
-    MidPipelineStage {
-        /// Thread staging ahead for the next sequence.
-        tid: u32,
-        /// Next-sequence runs staged so far on that thread.
-        runs_staged: u32,
-    },
     /// Thread `tid`'s staging buffer is fully applied and its stack
     /// sequence bumped; later threads are not yet applied.
     PostApplyThread {
@@ -184,9 +172,6 @@ impl std::fmt::Display for CrashSite {
             CrashSite::MidApply { tid, runs_applied } => {
                 write!(f, "mid-apply(tid={tid}, runs={runs_applied})")
             }
-            CrashSite::MidPipelineStage { tid, runs_staged } => {
-                write!(f, "mid-pipeline-stage(tid={tid}, runs={runs_staged})")
-            }
             CrashSite::PostApplyThread { tid } => write!(f, "post-apply-thread(tid={tid})"),
             CrashSite::PostApplyPreRegisters => write!(f, "post-apply-pre-registers"),
             CrashSite::MidRegisterApply { tid } => write!(f, "mid-register-apply(tid={tid})"),
@@ -227,7 +212,6 @@ impl CrashSite {
         "PreSeal",
         "PostSeal",
         "MidApply",
-        "MidPipelineStage",
         "PostApplyThread",
         "PostApplyPreRegisters",
         "MidRegisterApply",
@@ -244,10 +228,7 @@ impl CrashSite {
 
     /// `true` for sites at or after the seal: the commit point has
     /// passed, so recovery must redo (finish) the interrupted commit
-    /// rather than discard it. `MidPipelineStage` is post-seal for the
-    /// *draining* sequence N — the overlap window opens only after
-    /// seal(N), and the staged-ahead N+1 buffers are still unsealed —
-    /// so recovery lands on N. The spine sites (`BatchSeal`,
+    /// rather than discard it. The spine sites (`BatchSeal`,
     /// `MidMerge`, `MergeRetire`) only exist after the process record
     /// sealed — the batch append and the deferred merge both operate
     /// on committed data — so they are post-seal too. The allocator
@@ -259,7 +240,6 @@ impl CrashSite {
             self,
             CrashSite::PostSeal
                 | CrashSite::MidApply { .. }
-                | CrashSite::MidPipelineStage { .. }
                 | CrashSite::PostApplyThread { .. }
                 | CrashSite::PostApplyPreRegisters
                 | CrashSite::MidRegisterApply { .. }
@@ -283,6 +263,17 @@ pub enum CrashPlan {
     AtIndex(u64),
     /// Fire at the first boundary matching this site.
     AtSite(CrashSite),
+    /// Fire at the `nth` (zero-based) crossing of `site`. Unlike
+    /// `AtIndex`, this addresses a crash point independently of how
+    /// parallel workers interleave their boundaries: each site is
+    /// crossed by one thread at a time, so its crossings are ordered
+    /// even when the global crossing order is not.
+    AtCrossing {
+        /// The site to fire at.
+        site: CrashSite,
+        /// Crossings of `site` to let pass first.
+        nth: u64,
+    },
 }
 
 /// The error returned through the pipeline when an injected crash
@@ -367,6 +358,9 @@ impl FaultInjector {
             CrashPlan::Record => false,
             CrashPlan::AtIndex(n) => idx == n,
             CrashPlan::AtSite(s) => s == site,
+            CrashPlan::AtCrossing { site: s, nth } => {
+                s == site && self.crossed.iter().filter(|c| **c == site).count() as u64 == nth + 1
+            }
         };
         if fire {
             self.fired = Some((idx, site));
@@ -554,6 +548,19 @@ mod tests {
     }
 
     #[test]
+    fn injector_at_crossing_fires_on_the_nth_crossing_of_its_site() {
+        let site = CrashSite::MidStage {
+            tid: 1,
+            runs_staged: 1,
+        };
+        let mut inj = FaultInjector::new(CrashPlan::AtCrossing { site, nth: 1 });
+        assert!(!inj.observe(site), "first crossing passes");
+        assert!(!inj.observe(CrashSite::PreSeal));
+        assert!(inj.observe(site), "second crossing fires");
+        assert_eq!(inj.fired(), Some((2, site)));
+    }
+
+    #[test]
     fn recording_injector_never_fires() {
         let mut inj = FaultInjector::disabled();
         for _ in 0..8 {
@@ -581,14 +588,6 @@ mod tests {
             runs_applied: 1
         }
         .is_post_seal());
-        assert!(
-            CrashSite::MidPipelineStage {
-                tid: 1,
-                runs_staged: 1
-            }
-            .is_post_seal(),
-            "overlap window opens only after seal(N); recovery lands on N"
-        );
         assert!(CrashSite::PostApplyPreRegisters.is_post_seal());
         assert!(CrashSite::PostCommit.is_post_seal());
         assert!(!CrashSite::MidBitmapClear { tid: 0 }.is_post_seal());
