@@ -68,6 +68,20 @@ fn main() -> ExitCode {
         "  commit speedup at {} workers: {:.2}x",
         s.max_commit_workers, s.commit_speedup_at_max_workers
     );
+    let sw = &report.commit.sweep;
+    println!(
+        "  commit worker fit: worker {} ns, copy {} ps/B, bandwidth {} ps/B; fit error \
+         median {:.0}%, max {:.0}%; fan-out {}",
+        sw.fitted_spawn_ns,
+        sw.fitted_copy_byte_ps,
+        sw.fitted_bandwidth_byte_ps,
+        sw.fit_err_pct,
+        sw.fit_err_max_pct,
+        sw.break_even_bytes.map_or_else(
+            || "never beat serial".to_string(),
+            |b| format!("beat serial from {} KiB/commit", b >> 10)
+        )
+    );
     println!(
         "  checkpoint interval p99: {} cycles",
         s.ckpt_interval_p99_cycles

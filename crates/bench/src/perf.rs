@@ -399,6 +399,71 @@ pub struct CommitSection {
     pub bytes_per_commit: u64,
     /// One row per worker count.
     pub rows: Vec<CommitRow>,
+    /// The size sweep, with a host cost model fitted to it.
+    pub sweep: CommitSweep,
+}
+
+/// One (commit size, worker count) cell of the commit sweep.
+#[derive(Clone, Debug, Serialize)]
+pub struct SweepRow {
+    /// Bytes per commit across all stacks (each stack an equal share).
+    pub bytes_per_commit: u64,
+    /// Workers of the stage and apply passes.
+    pub workers: usize,
+    /// Median whole-commit wall time (ns).
+    pub median_ns: f64,
+    /// What the fitted host terms predict (ns).
+    pub model_ns: u64,
+}
+
+/// The fitted model's worker pick at one commit size.
+#[derive(Clone, Debug, Serialize)]
+pub struct SweepPick {
+    /// Bytes per commit across all stacks.
+    pub bytes_per_commit: u64,
+    /// The worker count the fit predicts fastest, up to the host's
+    /// parallelism (`commit` itself runs serial).
+    pub picked: usize,
+    /// The model's prediction at the pick (ns).
+    pub predicted_ns: u64,
+    /// The measured median at the pick (ns).
+    pub measured_ns: f64,
+    /// `(predicted - measured) / measured`, in percent.
+    pub err_pct: f64,
+    /// The worker count that measured fastest.
+    pub fastest: usize,
+}
+
+/// The commit sweep: eager commits of a 4-stack process at several
+/// sizes and every worker count, and the least-squares fit of a host
+/// cost model to them, which says whether a fan-out would ever pay
+/// on this host. Reported, never gated.
+#[derive(Clone, Debug, Serialize)]
+pub struct CommitSweep {
+    /// Stacks of the swept process.
+    pub threads: usize,
+    /// Timed commits per cell (after one warm-up commit).
+    pub iterations: u64,
+    /// One row per (size, workers).
+    pub rows: Vec<SweepRow>,
+    /// Fitted copy cost of one worker (ps/B), from the serial rows.
+    pub fitted_copy_byte_ps: u64,
+    /// Fitted copy cost of the whole host (ps/B), from the fanned-out
+    /// rows.
+    pub fitted_bandwidth_byte_ps: u64,
+    /// Fitted cost of one worker of one fanned-out pass (ns), from the
+    /// fanned-out rows.
+    pub fitted_spawn_ns: u64,
+    /// Median `|model - measured| / measured` over every row, in
+    /// percent, under the fitted terms.
+    pub fit_err_pct: f64,
+    /// Largest such error, in percent.
+    pub fit_err_max_pct: f64,
+    /// The fit's pick per size.
+    pub picks: Vec<SweepPick>,
+    /// Smallest swept size at which a fanned-out commit measured
+    /// faster than serial, if any.
+    pub break_even_bytes: Option<u64>,
 }
 
 const THREADS: usize = 8;
@@ -486,6 +551,195 @@ pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
         runs_per_thread: RUNS_PER_THREAD as usize,
         bytes_per_commit: STACK_BYTES * THREADS as u64,
         rows,
+        sweep: commit_sweep(cfg),
+    }
+}
+
+/// Stacks of the commit sweep's process: the benchmark's Stream shape.
+const SWEEP_THREADS: usize = 4;
+
+/// Bytes per commit the sweep measures.
+const SWEEP_BYTES: [u64; 4] = [256 << 10, 1 << 20, 4 << 20, 16 << 20];
+
+/// Median of `xs` (0 when empty).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// Median wall time of `iters` eager commits of `bytes` (split evenly
+/// over [`SWEEP_THREADS`] stacks, one run each) at `workers`, after one
+/// warm-up commit.
+fn sweep_cell(bytes: u64, workers: usize, iters: u64) -> f64 {
+    let per = bytes / SWEEP_THREADS as u64;
+    let ranges: Vec<VirtRange> = (0..SWEEP_THREADS as u64)
+        .map(|i| {
+            let top = 0x1_0000_0000 + (i + 1) * 0x1000_0000;
+            VirtRange::new(VirtAddr::new(top - per), VirtAddr::new(top))
+        })
+        .collect();
+    let mut process = PersistentProcess::new(&ranges);
+    let mut runs: BTreeMap<u32, Vec<CopyRun>> = BTreeMap::new();
+    for (tid, range) in ranges.iter().enumerate() {
+        let tid = tid as u32;
+        process.record_store(tid, range.start(), &vec![0xC0 + tid as u8; per as usize]);
+        runs.insert(
+            tid,
+            vec![CopyRun {
+                start: range.start(),
+                len: per,
+            }],
+        );
+    }
+    let mut commit = || {
+        let t = Instant::now();
+        process
+            .commit_with(&runs, workers, &())
+            .expect("the no-op observer never crashes");
+        t.elapsed().as_nanos() as f64
+    };
+    commit(); // warm-up
+    median((0..iters).map(|_| commit()).collect())
+}
+
+/// Host terms of the sweep's cost model: ns per extra worker of a
+/// fanned-out pass, and ps per byte for one worker's copy and for the
+/// whole host's memory bandwidth.
+type HostTerms = (u64, u64, u64);
+
+/// Model of one eager sweep commit of `bytes` at `workers`: two passes
+/// (stage, apply) over [`SWEEP_THREADS`] equal stacks, each a roofline
+/// of the workers' cost plus the longer of the per-worker copy of the
+/// busiest worker's stacks and the whole copy at the host's bandwidth.
+fn sweep_model_ns(bytes: u64, workers: usize, (spawn_ns, copy_ps, bw_ps): HostTerms) -> u64 {
+    let workers = workers.clamp(1, SWEEP_THREADS);
+    let spawn = if workers > 1 {
+        workers as u64 * spawn_ns
+    } else {
+        0
+    };
+    let busiest = SWEEP_THREADS.div_ceil(workers) as u64 * (bytes / SWEEP_THREADS as u64);
+    2 * (spawn + (busiest * copy_ps).max(bytes * bw_ps) / 1000)
+}
+
+/// Least-squares fit of the host terms of [`sweep_model_ns`] to `rows`,
+/// weighting every row by its own time (squared relative error), so
+/// small and large commits count alike. Copy and bandwidth are searched
+/// on a 1 ps/B grid up to [`FIT_MAX_PS`], bandwidth never above copy;
+/// the model is linear in the spawn term, so each grid point takes its
+/// optimal spawn, rounded to 100 ns.
+fn fit_host_terms(rows: &[SweepRow]) -> HostTerms {
+    let sq_err = |terms| -> f64 {
+        rows.iter()
+            .map(|r| {
+                (sweep_model_ns(r.bytes_per_commit, r.workers, terms) as f64 / r.median_ns - 1.0)
+                    .powi(2)
+            })
+            .sum()
+    };
+    let mut best = ((0, 0, 0), f64::INFINITY);
+    for copy in 1..=FIT_MAX_PS {
+        for bw in 0..=copy {
+            // Relative residual of row i: (a_i + b_i·spawn) / t_i - 1.
+            let (mut num, mut den) = (0.0, 0.0);
+            for r in rows.iter().filter(|r| r.workers > 1) {
+                let a = sweep_model_ns(r.bytes_per_commit, r.workers, (0, copy, bw)) as f64;
+                let b = 2.0 * r.workers.min(SWEEP_THREADS) as f64;
+                num += b / r.median_ns * (1.0 - a / r.median_ns);
+                den += (b / r.median_ns).powi(2);
+            }
+            let spawn = if den > 0.0 {
+                ((num / den).max(0.0) / 100.0).round() as u64 * 100
+            } else {
+                0
+            };
+            let terms = (spawn, copy, bw);
+            let err = sq_err(terms);
+            if err < best.1 {
+                best = (terms, err);
+            }
+        }
+    }
+    best.0
+}
+
+/// Largest copy or bandwidth cost the fit considers (ps/B).
+const FIT_MAX_PS: u64 = 400;
+
+/// Sweeps [`SWEEP_BYTES`] × the worker counts up to [`SWEEP_THREADS`],
+/// fits the host terms ([`fit_host_terms`]) and scores the fit and its
+/// worker pick against the measurements.
+#[must_use]
+pub fn commit_sweep(cfg: &PerfConfig) -> CommitSweep {
+    let iters = cfg.commit_iters();
+    let workers: Vec<usize> = cfg
+        .commit_workers()
+        .iter()
+        .copied()
+        .filter(|&w| w <= SWEEP_THREADS)
+        .collect();
+    let mut rows = Vec::new();
+    for &bytes in &SWEEP_BYTES {
+        for &w in &workers {
+            rows.push(SweepRow {
+                bytes_per_commit: bytes,
+                workers: w,
+                median_ns: sweep_cell(bytes, w, iters),
+                model_ns: 0,
+            });
+        }
+    }
+    let fit = fit_host_terms(&rows);
+    for r in &mut rows {
+        r.model_ns = sweep_model_ns(r.bytes_per_commit, r.workers, fit);
+    }
+    let (spawn, copy, bandwidth) = fit;
+    let errs: Vec<f64> = rows
+        .iter()
+        .map(|r| ((r.model_ns as f64 - r.median_ns) / r.median_ns * 100.0).abs())
+        .collect();
+    let cap = host_parallelism().min(SWEEP_THREADS);
+    let picks: Vec<SweepPick> = SWEEP_BYTES
+        .iter()
+        .map(|&bytes| {
+            let of_size: Vec<&SweepRow> = rows
+                .iter()
+                .filter(|r| r.bytes_per_commit == bytes)
+                .collect();
+            let picked = (1..=cap)
+                .min_by_key(|&w| (sweep_model_ns(bytes, w, fit), w))
+                .unwrap_or(1);
+            let at = |w: usize| of_size.iter().find(|r| r.workers == w);
+            let measured_ns = at(picked).map_or(0.0, |r| r.median_ns);
+            let predicted_ns = at(picked).map_or(0, |r| r.model_ns);
+            SweepPick {
+                bytes_per_commit: bytes,
+                picked,
+                predicted_ns,
+                measured_ns,
+                err_pct: (predicted_ns as f64 - measured_ns) / measured_ns * 100.0,
+                fastest: of_size
+                    .iter()
+                    .min_by(|a, b| a.median_ns.total_cmp(&b.median_ns))
+                    .map_or(1, |r| r.workers),
+            }
+        })
+        .collect();
+    let break_even_bytes = picks
+        .iter()
+        .find(|p| p.fastest > 1)
+        .map(|p| p.bytes_per_commit);
+    CommitSweep {
+        threads: SWEEP_THREADS,
+        iterations: iters,
+        fit_err_pct: median(errs.clone()),
+        fit_err_max_pct: errs.iter().copied().fold(0.0, f64::max),
+        rows,
+        fitted_copy_byte_ps: copy,
+        fitted_bandwidth_byte_ps: bandwidth,
+        fitted_spawn_ns: spawn,
+        picks,
+        break_even_bytes,
     }
 }
 
@@ -1420,6 +1674,65 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
     }
     tables.push(t);
 
+    let sw = &report.commit.sweep;
+    let mut t = Table::new(
+        format!(
+            "Commit sweep: {} stacks, eager, median of {} commits; fit: worker {} ns, \
+             copy {} ps/B, bandwidth {} ps/B; fit error median {:.0}%, max {:.0}%",
+            sw.threads,
+            sw.iterations,
+            sw.fitted_spawn_ns,
+            sw.fitted_copy_byte_ps,
+            sw.fitted_bandwidth_byte_ps,
+            sw.fit_err_pct,
+            sw.fit_err_max_pct
+        ),
+        &["KiB/commit", "workers", "measured µs", "model µs", "error"],
+    );
+    for r in &sw.rows {
+        t.push_row(&[
+            (r.bytes_per_commit >> 10).to_string(),
+            r.workers.to_string(),
+            format!("{:.1}", r.median_ns / 1e3),
+            format!("{:.1}", r.model_ns as f64 / 1e3),
+            format!(
+                "{:+.0}%",
+                (r.model_ns as f64 - r.median_ns) / r.median_ns * 100.0
+            ),
+        ]);
+    }
+    tables.push(t);
+
+    let mut t = Table::new(
+        format!(
+            "Fitted pick at cap {} (commit runs serial): fan-out {}",
+            report.commit.host_parallelism.min(sw.threads),
+            sw.break_even_bytes.map_or_else(
+                || "never measured faster than serial".to_string(),
+                |b| format!("first measured faster than serial at {} KiB", b >> 10)
+            )
+        ),
+        &[
+            "KiB/commit",
+            "picked",
+            "predicted µs",
+            "measured µs",
+            "error",
+            "fastest",
+        ],
+    );
+    for p in &sw.picks {
+        t.push_row(&[
+            (p.bytes_per_commit >> 10).to_string(),
+            p.picked.to_string(),
+            format!("{:.1}", p.predicted_ns as f64 / 1e3),
+            format!("{:.1}", p.measured_ns / 1e3),
+            format!("{:+.0}%", p.err_pct),
+            p.fastest.to_string(),
+        ]);
+    }
+    tables.push(t);
+
     let c = &report.checkpoint;
     let mut t = Table::new(
         format!(
@@ -1651,7 +1964,7 @@ mod tests {
     fn render_covers_every_section() {
         let report = run_all(&tiny());
         let tables = render(&report);
-        assert_eq!(tables.len(), 9);
+        assert_eq!(tables.len(), 11);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has rows", t.title);
         }

@@ -27,6 +27,8 @@
 //! way; reads that need the durable state consult the spine-aware
 //! [`PersistentStack::read_effective`].
 
+use std::convert::Infallible;
+
 use prosper_gemos::crash::Persistent;
 use prosper_gemos::image::MemoryImage;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -46,11 +48,47 @@ enum CommitPhase {
     Sealed,
 }
 
-/// A staged run: target address plus the bytes to apply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct StagedRun {
-    start: VirtAddr,
-    data: Vec<u8>,
+/// A staged run's descriptor: its target address and where its bytes
+/// sit in the [`Payload`] buffer it belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RunDesc {
+    /// Target address (raw).
+    start: u64,
+    /// Offset of the run's first byte in the payload buffer.
+    off: usize,
+    /// Run length in bytes.
+    len: usize,
+}
+
+/// The runs of a staging buffer or a delta batch: `(start, len)`
+/// descriptors into one byte buffer, so a whole buffer is recycled
+/// (and refilled without faulting fresh pages) as one allocation.
+/// Invariant: `bytes.len()` is the sum of the runs' lengths.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Payload {
+    runs: Vec<RunDesc>,
+    bytes: Vec<u8>,
+}
+
+impl Payload {
+    /// Empties the buffer, keeping both allocations.
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.bytes.clear();
+    }
+
+    /// Each run's target address and bytes, in buffer order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.runs
+            .iter()
+            .map(|r| (r.start, &self.bytes[r.off..r.off + r.len]))
+    }
+
+    /// Appends one run's descriptor for the bytes just pushed at `off`.
+    fn push_run(&mut self, start: u64, off: usize) {
+        let len = self.bytes.len() - off;
+        self.runs.push(RunDesc { start, off, len });
+    }
 }
 
 /// Tuning of the deferred spine merge (the LSM compaction policy).
@@ -108,7 +146,7 @@ impl SpineConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaBatch {
     sequence: u64,
-    runs: Vec<StagedRun>,
+    payload: Payload,
 }
 
 impl DeltaBatch {
@@ -119,34 +157,12 @@ impl DeltaBatch {
 
     /// Number of runs in the batch.
     pub fn runs(&self) -> usize {
-        self.runs.len()
+        self.payload.runs.len()
     }
 
     /// Total payload bytes in the batch.
     pub fn bytes(&self) -> u64 {
-        self.runs.iter().map(|r| r.data.len() as u64).sum()
-    }
-}
-
-/// One step of a spine merge: the deduplicated writes for one batch
-/// (newest-first fold order), precomputed so fault injection can
-/// crash between any two steps.
-#[derive(Clone, Debug)]
-pub struct MergeStep {
-    writes: Vec<StagedRun>,
-    batches_folded: u32,
-}
-
-impl MergeStep {
-    /// NVM bytes this step writes (already deduplicated against
-    /// newer batches' coverage).
-    pub fn bytes(&self) -> u64 {
-        self.writes.iter().map(|r| r.data.len() as u64).sum()
-    }
-
-    /// How many batches are folded once this step completes.
-    pub fn batches_folded(&self) -> u32 {
-        self.batches_folded
+        self.payload.bytes.len() as u64
     }
 }
 
@@ -217,42 +233,70 @@ fn insert_coverage(coverage: &mut Coverage, start: u64, end: u64) {
     *coverage = out;
 }
 
-/// Folds a staged-run list into the minimal set of disjoint, maximal
+/// Folds a staging buffer into the minimal set of disjoint, maximal
 /// runs with newest-wins byte values: where runs overlap, the
 /// last-staged bytes survive; abutting runs concatenate into one
 /// descriptor. A batch sealed from the result covers exactly the same
 /// bytes with the same final values, but carries the fewest possible
 /// run descriptors — which is what the spine persists per batch and
 /// what every later merge walks.
-fn coalesce_runs(runs: Vec<StagedRun>) -> Vec<StagedRun> {
+///
+/// Bitmap inspection always stages sorted, disjoint runs, and a
+/// staging buffer lays its runs out back to back in staging order: such
+/// a buffer is already minimal once abutting descriptors are joined, so
+/// it is returned as it is and no byte is copied. Any other buffer is
+/// folded into `spare`. Returns the coalesced buffer and the one left
+/// over, for the free list.
+fn coalesce_runs(mut staged: Payload, mut spare: Payload) -> (Payload, Payload) {
+    if staged
+        .runs
+        .windows(2)
+        .all(|w| w[0].start + w[0].len as u64 <= w[1].start)
+    {
+        staged.runs.retain(|r| r.len > 0);
+        staged.runs.dedup_by(|next, prev| {
+            let abuts =
+                prev.start + prev.len as u64 == next.start && prev.off + prev.len == next.off;
+            if abuts {
+                prev.len += next.len;
+            }
+            abuts
+        });
+        return (staged, spare);
+    }
+    coalesce_folded(&staged, &mut spare);
+    (spare, staged)
+}
+
+/// The general newest-wins fold of [`coalesce_runs`], for any run order:
+/// writes the minimal runs of `staged` into `out`, copying each
+/// surviving byte once.
+fn coalesce_folded(staged: &Payload, out: &mut Payload) {
     let mut coverage: Coverage = Vec::new();
-    let mut pieces: Vec<StagedRun> = Vec::new();
-    // Newest-first: only the parts of older runs not shadowed by a
-    // newer run survive.
-    for run in runs.iter().rev() {
-        let s = run.start.raw();
-        let e = s + run.data.len() as u64;
+    // (target start, offset in `staged`, length) of every surviving
+    // piece. Newest-first: only the parts of older runs not shadowed by
+    // a newer run survive.
+    let mut pieces: Vec<(u64, usize, usize)> = Vec::new();
+    for run in staged.runs.iter().rev() {
+        let (s, e) = (run.start, run.start + run.len as u64);
         for (ws, we) in subtract_coverage(s, e, &coverage) {
-            let lo = (ws - s) as usize;
-            let hi = (we - s) as usize;
-            pieces.push(StagedRun {
-                start: VirtAddr::new(ws),
-                data: run.data[lo..hi].to_vec(),
-            });
+            pieces.push((ws, run.off + (ws - s) as usize, (we - ws) as usize));
         }
         insert_coverage(&mut coverage, s, e);
     }
-    pieces.sort_by_key(|r| r.start.raw());
-    let mut out: Vec<StagedRun> = Vec::with_capacity(pieces.len());
-    for piece in pieces {
-        match out.last_mut() {
-            Some(prev) if prev.start.raw() + prev.data.len() as u64 == piece.start.raw() => {
-                prev.data.extend_from_slice(&piece.data);
-            }
-            _ => out.push(piece),
+    pieces.sort_unstable_by_key(|&(start, ..)| start);
+    out.clear();
+    for (start, off, len) in pieces {
+        match out.runs.last_mut() {
+            Some(prev) if prev.start + prev.len as u64 == start => prev.len += len,
+            _ => out.runs.push(RunDesc {
+                start,
+                off: out.bytes.len(),
+                len,
+            }),
         }
+        out.bytes.extend_from_slice(&staged.bytes[off..off + len]);
     }
-    out
 }
 
 /// The per-thread persistent stack store.
@@ -287,7 +331,7 @@ pub struct PersistentStack {
     /// NVM persistent stack.
     persistent: MemoryImage,
     /// NVM staging buffer (step one of the two-step commit).
-    staging: Vec<StagedRun>,
+    staging: Payload,
     /// Sequence the open staging buffer belongs to (0 when no buffer
     /// is open). Written with `begin_stage`, so after a crash recovery
     /// can tell a buffer staged for the sealed sequence N from one
@@ -302,6 +346,13 @@ pub struct PersistentStack {
     /// NVM-resident spine of immutable sealed delta batches, oldest
     /// first (ascending sequence). Empty in eager-apply mode.
     spine: Vec<DeltaBatch>,
+    /// Free list of emptied payload buffers: retired staging buffers
+    /// and merged batches, which the next stage refills. Host memory
+    /// management only; what they held is irrelevant.
+    spare: Vec<Payload>,
+    /// Most buffers `spare` keeps: every buffer a spine holds before
+    /// its merge, plus the staging buffer.
+    spare_cap: usize,
 }
 
 impl PersistentStack {
@@ -312,13 +363,30 @@ impl PersistentStack {
             range,
             volatile: MemoryImage::new(),
             persistent: MemoryImage::new(),
-            staging: Vec::new(),
+            staging: Payload::default(),
             staging_sequence: 0,
             sealed: false,
             phase: CommitPhase::Idle,
             committed_sequence: 0,
             next_sequence: 1,
             spine: Vec::new(),
+            spare: Vec::new(),
+            spare_cap: SpineConfig::default().max_batches + 1,
+        }
+    }
+
+    /// Sizes the free list for `cfg`: its `max_batches` batches plus the
+    /// staging buffer.
+    pub(crate) fn size_spare_buffers(&mut self, cfg: &SpineConfig) {
+        self.spare_cap = cfg.max_batches + 1;
+    }
+
+    /// Returns an emptied buffer to the free list, or drops it when the
+    /// list is full.
+    fn recycle(&mut self, mut payload: Payload) {
+        if self.spare.len() < self.spare_cap && payload.bytes.capacity() > 0 {
+            payload.clear();
+            self.spare.push(payload);
         }
     }
 
@@ -378,6 +446,9 @@ impl PersistentStack {
         self.phase = CommitPhase::Staging;
         self.sealed = false;
         self.staging.clear();
+        if self.staging.bytes.capacity() == 0 {
+            self.staging = self.spare.pop().unwrap_or_default();
+        }
         self.staging_sequence = sequence;
     }
 
@@ -394,11 +465,10 @@ impl PersistentStack {
             self.phase == CommitPhase::Staging,
             "stage_run outside an open staging buffer"
         );
-        let data = self.volatile.read(run.start, run.len as usize);
-        self.staging.push(StagedRun {
-            start: run.start,
-            data,
-        });
+        let off = self.staging.bytes.len();
+        self.volatile
+            .read_into(run.start, run.len as usize, &mut self.staging.bytes);
+        self.staging.push_run(run.start.raw(), off);
     }
 
     /// Durably writes the seal marker: the staging buffer is complete
@@ -412,20 +482,20 @@ impl PersistentStack {
 
     /// Number of runs currently staged.
     pub fn staged_runs(&self) -> usize {
-        self.staging.len()
+        self.staging.runs.len()
     }
 
     /// Total bytes currently staged across all runs — the
     /// deterministic work-size input for stall attribution's
     /// redo-cost model.
     pub fn staged_bytes(&self) -> u64 {
-        self.staging.iter().map(|r| r.data.len() as u64).sum()
+        self.staging.bytes.len() as u64
     }
 
     /// Bytes of the staged run at `idx` (0 when out of bounds; the
     /// cost model must never panic the commit path).
     pub fn staged_run_len(&self, idx: usize) -> u64 {
-        self.staging.get(idx).map_or(0, |r| r.data.len() as u64)
+        self.staging.runs.get(idx).map_or(0, |r| r.len as u64)
     }
 
     /// Whether a sealed staging buffer exists.
@@ -453,8 +523,11 @@ impl PersistentStack {
     ///
     /// Panics if `idx` is out of bounds of the staging buffer.
     pub fn apply_run(&mut self, idx: usize) {
-        let run = &self.staging[idx];
-        self.persistent.write(run.start, &run.data);
+        let run = self.staging.runs[idx];
+        self.persistent.write(
+            VirtAddr::new(run.start),
+            &self.staging.bytes[run.off..run.off + run.len],
+        );
     }
 
     /// Finishes an apply: durably records `sequence` as the committed
@@ -488,7 +561,7 @@ impl PersistentStack {
             self.sealed && self.phase == CommitPhase::Sealed,
             "apply without a sealed staging buffer"
         );
-        for idx in 0..self.staging.len() {
+        for idx in 0..self.staging.runs.len() {
             self.apply_run(idx);
         }
         self.finish_apply(self.next_sequence);
@@ -526,7 +599,7 @@ impl PersistentStack {
     pub fn recover_after_crash(&mut self) {
         if self.sealed {
             // Idempotent re-apply: staged runs carry absolute data.
-            for idx in 0..self.staging.len() {
+            for idx in 0..self.staging.runs.len() {
                 self.apply_run(idx);
             }
             self.finish_apply(self.next_sequence);
@@ -552,14 +625,18 @@ impl PersistentStack {
     /// The staged runs are coalesced before the batch is sealed:
     /// overlapping runs collapse to their newest-wins bytes and
     /// abutting runs concatenate, so the batch persists the minimal
-    /// descriptor list for its coverage.
+    /// descriptor list for its coverage. Sorted, disjoint runs — all
+    /// bitmap inspection produces — keep their bytes where they are.
     pub fn seal_to_spine(&mut self, sequence: u64) {
         debug_assert!(
             self.phase != CommitPhase::Idle,
             "seal_to_spine without an open staging buffer"
         );
-        let runs = coalesce_runs(std::mem::take(&mut self.staging));
-        self.spine.push(DeltaBatch { sequence, runs });
+        let staged = std::mem::take(&mut self.staging);
+        let spare = self.spare.pop().unwrap_or_default();
+        let (payload, left) = coalesce_runs(staged, spare);
+        self.recycle(left);
+        self.spine.push(DeltaBatch { sequence, payload });
         self.committed_sequence = sequence;
         self.next_sequence = self.next_sequence.max(sequence + 1);
         self.staging_sequence = 0;
@@ -587,9 +664,8 @@ impl PersistentStack {
     pub fn spine_distinct_bytes(&self) -> u64 {
         let mut coverage: Coverage = Vec::new();
         for batch in &self.spine {
-            for run in &batch.runs {
-                let s = run.start.raw();
-                insert_coverage(&mut coverage, s, s + run.data.len() as u64);
+            for run in &batch.payload.runs {
+                insert_coverage(&mut coverage, run.start, run.start + run.len as u64);
             }
         }
         coverage.iter().map(|(s, e)| e - s).sum()
@@ -613,73 +689,64 @@ impl PersistentStack {
                 || self.spine_overlap_permille() >= cfg.overlap_permille)
     }
 
-    /// Plans a full-spine merge: one [`MergeStep`] per batch in
-    /// **newest-first** fold order, each step's writes already
-    /// deduplicated against the coverage of every newer batch. Newer
-    /// data is written first and older overlapped bytes are skipped,
-    /// so newest-wins holds and every surviving byte is written
-    /// exactly once. Each completed prefix of steps writes a subset of
-    /// the full fold's writes with identical values, which is what
-    /// makes a crash between steps recoverable by simply re-merging.
-    pub fn merge_plan(&self) -> Vec<MergeStep> {
+    /// Folds the whole spine into the persistent image, newest batch
+    /// first, straight from the batches' buffers: each batch writes only
+    /// the bytes no newer batch covers, so newest-wins holds and every
+    /// surviving byte is written exactly once. After each batch,
+    /// `step(batches_folded, bytes_written)` observes the fold; an `Err`
+    /// stops it there with the spine still in place. Each completed
+    /// prefix of batches writes a subset of the full fold's writes with
+    /// identical values, which is what makes a crash between batches
+    /// recoverable by simply folding again. A completed fold retires
+    /// the spine and returns its buffers to the free list.
+    ///
+    /// The one fold behind the commit engine's merge step,
+    /// [`Self::merge_spine`] and recovery.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `step` returned.
+    pub fn fold_spine<E>(
+        &mut self,
+        mut step: impl FnMut(u32, u64) -> Result<(), E>,
+    ) -> Result<MergeStats, E> {
+        let input_bytes = self.spine_bytes();
         let mut coverage: Coverage = Vec::new();
-        let mut steps = Vec::with_capacity(self.spine.len());
+        let mut written = 0;
         for (rank, batch) in self.spine.iter().rev().enumerate() {
-            let mut writes = Vec::new();
-            for run in &batch.runs {
-                let s = run.start.raw();
-                let e = s + run.data.len() as u64;
+            let mut bytes = 0;
+            for (s, data) in batch.payload.iter() {
+                let e = s + data.len() as u64;
                 for (ws, we) in subtract_coverage(s, e, &coverage) {
-                    let lo = (ws - s) as usize;
-                    let hi = (we - s) as usize;
-                    writes.push(StagedRun {
-                        start: VirtAddr::new(ws),
-                        data: run.data[lo..hi].to_vec(),
-                    });
+                    let piece = &data[(ws - s) as usize..(we - s) as usize];
+                    self.persistent.write(VirtAddr::new(ws), piece);
+                    bytes += we - ws;
                 }
                 insert_coverage(&mut coverage, s, e);
             }
-            steps.push(MergeStep {
-                writes,
-                batches_folded: (rank + 1) as u32,
-            });
+            written += bytes;
+            step(rank as u32 + 1, bytes)?;
         }
-        steps
-    }
-
-    /// Applies one merge step's deduplicated writes to the persistent
-    /// image. Idempotent: re-applying a step rewrites identical bytes.
-    pub fn apply_merge_step(&mut self, step: &MergeStep) {
-        for run in &step.writes {
-            self.persistent.write(run.start, &run.data);
+        let folded = self.spine.len();
+        for batch in std::mem::take(&mut self.spine) {
+            self.recycle(batch.payload);
         }
-    }
-
-    /// Retires the spine after every merge step was applied: the
-    /// batches' data now lives (deduplicated) in the persistent image.
-    /// Returns the number of batches retired.
-    pub fn retire_spine(&mut self) -> usize {
-        let n = self.spine.len();
-        self.spine.clear();
-        n
-    }
-
-    /// Folds the whole spine newest-wins into the persistent image
-    /// and retires it. Off the commit critical path; also the recovery
-    /// fold. Idempotent and crash-safe: batches are immutable and a
-    /// partial fold writes a value-identical subset of the full fold.
-    pub fn merge_spine(&mut self) -> MergeStats {
-        let input_bytes = self.spine_bytes();
-        let mut written = 0;
-        for step in self.merge_plan() {
-            written += step.bytes();
-            self.apply_merge_step(&step);
-        }
-        let folded = self.retire_spine();
-        MergeStats {
+        Ok(MergeStats {
             batches_folded: folded as u64,
             input_bytes,
             written_bytes: written,
+        })
+    }
+
+    /// Folds the whole spine newest-wins into the persistent image
+    /// and retires it ([`Self::fold_spine`] with no observer). Off the
+    /// commit critical path; also the recovery fold. Idempotent and
+    /// crash-safe: batches are immutable and a partial fold writes a
+    /// value-identical subset of the full fold.
+    pub fn merge_spine(&mut self) -> MergeStats {
+        match self.fold_spine(|_, _| Ok::<(), Infallible>(())) {
+            Ok(stats) => stats,
+            Err(never) => match never {},
         }
     }
 
@@ -692,13 +759,12 @@ impl PersistentStack {
         let (lo, hi) = (addr.raw(), addr.raw() + len as u64);
         // Oldest→newest overlay: later batches overwrite earlier ones.
         for batch in &self.spine {
-            for run in &batch.runs {
-                let rs = run.start.raw();
-                let re = rs + run.data.len() as u64;
+            for (rs, data) in batch.payload.iter() {
+                let re = rs + data.len() as u64;
                 let (s, e) = (rs.max(lo), re.min(hi));
                 if s < e {
                     out[(s - lo) as usize..(e - lo) as usize]
-                        .copy_from_slice(&run.data[(s - rs) as usize..(e - rs) as usize]);
+                        .copy_from_slice(&data[(s - rs) as usize..(e - rs) as usize]);
                 }
             }
         }
@@ -995,7 +1061,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_plan_partial_prefix_is_crash_safe() {
+    fn fold_prefix_is_crash_safe() {
         let mut s = store();
         // Batch 1: two runs; batch 2 overlaps the first run's tail.
         s.record_store(VirtAddr::new(0x7000_0100), b"oldoldold");
@@ -1006,17 +1072,29 @@ mod tests {
         s.stage(&[run(0x7000_0104, 6)]);
         s.seal_to_spine(2);
 
-        let plan = s.merge_plan();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].batches_folded(), 1);
-        assert_eq!(plan[1].batches_folded(), 2);
-        // Newest step writes its full 6 bytes; the older one is
-        // shadowed where batch 2 covers it ([0x104, 0x109) = 5 bytes).
-        assert_eq!(plan[0].bytes(), 6);
-        assert_eq!(plan[1].bytes(), 9 - 5 + 6);
-
-        // Crash mid-merge: only the newest step applied, spine intact.
-        s.apply_merge_step(&plan[0]);
+        // Crash mid-merge: only the newest batch folded, spine intact.
+        let mut steps = Vec::new();
+        let torn = s.fold_spine(|folded, bytes| {
+            steps.push((folded, bytes));
+            Err(())
+        });
+        assert!(torn.is_err());
+        // The newest batch writes its full 6 bytes.
+        assert_eq!(steps, [(1, 6)]);
+        assert_eq!(s.spine_batches(), 2, "a torn fold retires nothing");
+        // The full fold: the older batch is shadowed where batch 2
+        // covers it ([0x104, 0x109) = 5 bytes).
+        let mut steps = Vec::new();
+        let mut probe = PersistentStack::new(0, s.range());
+        probe.spine = s.spine.clone();
+        let stats = probe
+            .fold_spine(|folded, bytes| {
+                steps.push((folded, bytes));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        assert_eq!(steps, [(1, 6), (2, 9 - 5 + 6)]);
+        assert_eq!(stats.written_bytes, 6 + 9 - 5 + 6);
         s.crash();
         s.recover_spine_after_crash();
         assert_eq!(
@@ -1088,6 +1166,145 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7000_1000));
         assert!(eager.persistent().matches(spine.persistent(), range));
         assert_eq!(eager.committed_sequence(), spine.committed_sequence());
+    }
+
+    /// A payload of `layout` `(start, len)` runs in staging order; the
+    /// byte at position `i` of run `k` is distinct per run and offset.
+    fn payload(layout: &[(u64, u64)]) -> Payload {
+        let mut p = Payload::default();
+        for (k, &(start, len)) in layout.iter().enumerate() {
+            let off = p.bytes.len();
+            p.bytes
+                .extend((0..len).map(|i| (k as u64 * 37 + i * 3 + 1) as u8));
+            p.push_run(start, off);
+        }
+        p
+    }
+
+    /// A payload as `(start, bytes)` runs, independent of its layout.
+    fn logical(p: &Payload) -> Vec<(u64, Vec<u8>)> {
+        p.iter().map(|(s, d)| (s, d.to_vec())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sorted-disjoint shortcut of `coalesce_runs` returns what
+        /// the general fold returns, and both are newest-wins, sorted,
+        /// disjoint and never abutting — for sorted inputs (gaps of 0
+        /// abut) and for arbitrary, overlapping ones.
+        #[test]
+        fn coalesce_shortcut_matches_the_general_fold(
+            runs in proptest::collection::vec((0u64..96, 0u64..24, 0u64..3), 0..12)
+        ) {
+            let mut end = 0;
+            let sorted: Vec<(u64, u64)> = runs
+                .iter()
+                .map(|&(_, len, gap)| {
+                    let start = end + gap;
+                    end = start + len;
+                    (start, len)
+                })
+                .collect();
+            let arbitrary: Vec<(u64, u64)> = runs.iter().map(|&(s, l, _)| (s, l)).collect();
+            for layout in [sorted, arbitrary] {
+                let staged = payload(&layout);
+                let (shortcut, _) = coalesce_runs(staged.clone(), Payload::default());
+                let mut folded = Payload::default();
+                coalesce_folded(&staged, &mut folded);
+                proptest::prop_assert_eq!(logical(&shortcut), logical(&folded));
+                // Newest wins: replay the runs in staging order.
+                let mut truth = std::collections::BTreeMap::new();
+                for (s, d) in staged.iter() {
+                    for (i, &b) in d.iter().enumerate() {
+                        truth.insert(s + i as u64, b);
+                    }
+                }
+                let mut got = std::collections::BTreeMap::new();
+                for (s, d) in shortcut.iter() {
+                    for (i, &b) in d.iter().enumerate() {
+                        proptest::prop_assert!(got.insert(s + i as u64, b).is_none());
+                    }
+                }
+                proptest::prop_assert_eq!(&got, &truth);
+                for w in shortcut.runs.windows(2) {
+                    proptest::prop_assert!(w[0].start + (w[0].len as u64) < w[1].start);
+                }
+                proptest::prop_assert!(shortcut.runs.iter().all(|r| r.len > 0));
+                proptest::prop_assert_eq!(
+                    shortcut.bytes.len(),
+                    shortcut.runs.iter().map(|r| r.len).sum::<usize>()
+                );
+            }
+        }
+    }
+
+    /// Sorted, disjoint staging is sealed without a copy: the batch
+    /// keeps the staging buffer's bytes, with abutting runs joined.
+    #[test]
+    fn sorted_disjoint_staging_seals_in_place() {
+        let staged = payload(&[(0x100, 8), (0x108, 8), (0x200, 4)]);
+        let ptr = staged.bytes.as_ptr();
+        let (batch, _) = coalesce_runs(staged, Payload::default());
+        assert_eq!(batch.bytes.as_ptr(), ptr, "no copy");
+        assert_eq!(
+            batch.runs,
+            [
+                RunDesc {
+                    start: 0x100,
+                    off: 0,
+                    len: 16
+                },
+                RunDesc {
+                    start: 0x200,
+                    off: 16,
+                    len: 4
+                }
+            ]
+        );
+    }
+
+    /// A long run, a merge, then shorter and disjoint runs through the
+    /// recycled buffers: every batch, the effective image and the
+    /// recovered image hold exactly what was staged, and the free list
+    /// stays within `max_batches + 1` buffers.
+    #[test]
+    fn recycled_buffers_hold_exactly_the_staged_bytes() {
+        let mut s = store();
+        let cfg = SpineConfig::merge_always();
+        s.size_spare_buffers(&cfg);
+        let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7000_2000));
+        let rounds: [&[(u64, u64)]; 5] = [
+            &[(0x7000_0000, 0x2000)],
+            &[(0x7000_0000, 0x2000)],
+            &[(0x7000_0100, 0x40), (0x7000_1000, 0x10)],
+            &[(0x7000_0800, 8)],
+            &[(0x7000_0040, 0x20), (0x7000_1f00, 0x100)],
+        ];
+        for (seq, layout) in rounds.iter().enumerate() {
+            for &(start, len) in *layout {
+                s.record_store(VirtAddr::new(start), &vec![seq as u8 + 0xA0; len as usize]);
+            }
+            let runs: Vec<CopyRun> = layout.iter().map(|&(st, l)| run(st, l)).collect();
+            s.stage(&runs);
+            let want: u64 = layout.iter().map(|r| r.1).sum();
+            assert_eq!(s.staged_bytes(), want, "round {seq}: staged bytes");
+            s.seal_to_spine(seq as u64 + 1);
+            assert_eq!(s.spine().last().map(DeltaBatch::bytes), Some(want));
+            assert_eq!(
+                s.read_effective(range.start(), range.len() as usize),
+                s.volatile().read(range.start(), range.len() as usize),
+                "round {seq}: effective image"
+            );
+            if s.should_merge(&cfg) {
+                s.merge_spine();
+            }
+            assert!(s.spare.len() <= cfg.max_batches + 1);
+        }
+        let truth = s.volatile().clone();
+        s.crash();
+        s.recover_spine_after_crash();
+        assert!(s.volatile().matches(&truth, range), "recovered image");
     }
 
     #[test]

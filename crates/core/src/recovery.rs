@@ -47,10 +47,20 @@
 //! that saw it stops at once and every other worker stops at its next
 //! boundary.
 //!
-//! [`PersistentProcess::commit`] picks the worker count as the argmin
-//! of the [`commit_cost`] model over every candidate count, spawn
-//! overhead included, so commits below the parallelism break-even run
-//! serial (BENCH_pr3.json measured blind fan-out at 0.85x serial).
+//! # Worker count
+//!
+//! [`PersistentProcess::commit`] and recovery's redo run serial on
+//! every host; [`PersistentProcess::commit_with`] takes an explicit
+//! worker count for callers that want a fan-out. `perf_baseline`'s
+//! commit sweep times eager `commit_with` at 256 KiB–16 MiB × 1/2/4
+//! workers and fits a roofline (per-worker cost, per-worker copy rate,
+//! host bandwidth) to it. On a 2-core host one extra worker cost about
+//! 30 µs per pass, a 1 MiB commit took about 150 µs serial and 300 µs
+//! at 2 workers, and the fit's pick was serial at every size, so a
+//! selector would only compute `1`. What serial gives up is the
+//! largest commits: a fan-out measured faster than serial at 4 or
+//! 16 MiB in some runs. Spine phase two is O(1) per stack and never
+//! fans out at any worker count.
 //!
 //! # Spine mode (staged-delta spine)
 //!
@@ -358,13 +368,13 @@ impl CommitObserver for CommitProbe {
     }
 }
 
-/// Deterministic virtual-time cost model of the commit engine: the
-/// worker selector's estimate, and what a [`StallLedger`] advances a
-/// virtual-clock [`StallAccountant`] by, so attributed timelines are
-/// byte-identical across runs yet sensitive to the worker count (a
-/// wall-clock accountant ignores `advance`). Units are virtual ns,
-/// loosely calibrated to the simulator's cycle costs: they need to be
-/// *stable*, not accurate, since conservation holds under any clock.
+/// Deterministic virtual-time cost model of the commit engine: what a
+/// [`StallLedger`] advances a virtual-clock [`StallAccountant`] by, so
+/// attributed timelines are byte-identical across runs yet sensitive
+/// to the worker count (a wall-clock accountant ignores `advance`).
+/// Units are virtual ns, loosely calibrated to the simulator's cycle
+/// costs: they need to be *stable*, not accurate, since conservation
+/// holds under any clock.
 pub mod commit_cost {
     /// Fixed per-phase dispatch overhead.
     pub const PHASE_BASE_NS: u64 = 100;
@@ -377,8 +387,9 @@ pub mod commit_cost {
     /// Coordinator bookkeeping per thread: staging its register file
     /// into the commit record. Seal-phase work, not staging work.
     pub const BOOKKEEP_SLOT_NS: u64 = 20;
-    /// Spawning one scoped worker. Only the worker selector charges
-    /// this; it makes fan-out lose to serial below the break-even.
+    /// Spawning one scoped worker. The engine charges it nowhere:
+    /// [`super::PersistentProcess::commit`] runs serial. It remains
+    /// for cost models of a fanned-out commit built on these constants.
     pub const WORKER_SPAWN_NS: u64 = 5_000;
     /// Apply: per staged run.
     pub const APPLY_RUN_NS: u64 = 40;
@@ -411,12 +422,12 @@ pub mod commit_cost {
 ///
 /// One charging rule: each parallel phase (stage, phase two) is
 /// charged once, when it closes, as the work-stealing makespan of the
-/// work its workers reported (`stolen_phase_cost`, the worker
-/// selector's rule), torn by a crash or not; the merge is the same
-/// rule at one worker. The seal charges [`commit_cost::SEAL_NS`] plus
-/// bookkeeping, the register tail [`commit_cost::REGISTER_SLOT_NS`]
-/// per slot. Recovery is one `Recovery` segment and window, modelled
-/// from the runs and bytes it replays.
+/// work its workers reported (`stolen_phase_cost`), torn by a crash
+/// or not; the merge is the same rule at one worker. The seal charges
+/// [`commit_cost::SEAL_NS`] plus bookkeeping, the register tail
+/// [`commit_cost::REGISTER_SLOT_NS`] per slot. Recovery is one
+/// `Recovery` segment and window, modelled from the runs and bytes it
+/// replays.
 ///
 /// [`StallSegment`]: prosper_telemetry::StallSegment
 /// [`StallWindow`]: prosper_telemetry::StallWindow
@@ -700,6 +711,9 @@ impl PersistentProcess {
     pub fn new_with_spine(stack_ranges: &[VirtRange], cfg: SpineConfig) -> Self {
         let mut p = Self::new(stack_ranges);
         p.spine_cfg = Some(cfg);
+        for stack in p.stacks.values_mut() {
+            stack.size_spare_buffers(&cfg);
+        }
         p
     }
 
@@ -780,85 +794,16 @@ impl PersistentProcess {
         self.registers.committed_sequence
     }
 
-    /// Worker-count cap: one per thread, up to the host's parallelism.
-    fn default_workers(threads: usize) -> usize {
-        std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(threads)
-            .max(1)
-    }
-
-    /// Modelled cost of one commit at `workers`: both parallel phases
-    /// under work stealing, the serial seal and register tail, and for
-    /// `workers > 1` the spawn overhead tiny commits cannot amortize.
-    fn modeled_commit_ns(
-        tids: &[u32],
-        workers: usize,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        spine: bool,
-    ) -> u64 {
-        let cost = |tid: u32, per_run: u64, per_byte: u64| {
-            runs_per_thread
-                .get(&tid)
-                .map_or(0, |runs| Self::runs_cost(runs, per_run, per_byte))
-        };
-        // Spine mode replaces the per-byte apply copy with an O(1)
-        // batch append per stack, so its phase-two term is flat.
-        let phase_two = if spine {
-            Self::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
-        } else {
-            Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
-            })
-        };
-        2 * Self::spawn_cost(workers)
-            + Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
-            })
-            + commit_cost::SEAL_NS
-            + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-            + phase_two
-            + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
-    }
-
-    /// Spawn overhead of one parallel pass: serial execution spawns
-    /// nothing.
-    fn spawn_cost(workers: usize) -> u64 {
-        if workers > 1 {
-            workers as u64 * commit_cost::WORKER_SPAWN_NS
-        } else {
-            0
-        }
-    }
-
-    /// The worker count in `1..=cap` with the lowest modelled cost;
-    /// ties go to the smallest count (serial wins a dead heat).
-    fn argmin_workers(cap: usize, cost: impl Fn(usize) -> u64) -> usize {
-        (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
-    }
-
-    /// Adaptive worker selection for [`Self::commit`]: the argmin of
-    /// the modelled commit cost up to the host-parallelism cap.
-    fn select_workers(&self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) -> usize {
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let cap = Self::default_workers(tids.len());
-        let spine = self.spine_cfg.is_some();
-        Self::argmin_workers(cap, |w| {
-            Self::modeled_commit_ns(&tids, w, runs_per_thread, spine)
-        })
-    }
-
     /// Commits one whole-process checkpoint — every thread's stack
     /// runs (from its bitmap inspection) and registers — through the
-    /// engine, at the adaptively selected worker count.
+    /// engine, serial (see the module docs on the worker count).
     ///
     /// # Panics
     ///
     /// Panics if `runs_per_thread` misses a registered thread.
     pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
-        let workers = self.select_workers(runs_per_thread);
         // The no-op observer never fails the power.
-        let _ = self.commit_with(runs_per_thread, workers, &());
+        let _ = self.commit_with(runs_per_thread, 1, &());
     }
 
     /// The commit engine (see the module docs): [`Self::commit`] at an
@@ -945,16 +890,14 @@ impl PersistentProcess {
             if !self.spine_cfg.is_some_and(|cfg| stack.should_merge(&cfg)) {
                 continue;
             }
-            for step in stack.merge_plan() {
-                stack.apply_merge_step(&step);
-                merged_bytes += step.bytes();
+            let stats = stack.fold_spine(|batches_folded, bytes| {
                 obs.on(CommitEvent::MergeStep {
                     tid,
-                    batches_folded: step.batches_folded(),
-                    bytes: step.bytes(),
-                })?;
-            }
-            stack.retire_spine();
+                    batches_folded,
+                    bytes,
+                })
+            })?;
+            merged_bytes += stats.written_bytes;
             merges += 1;
             obs.on(CommitEvent::MergeRetire {
                 tid,
@@ -1005,7 +948,12 @@ impl PersistentProcess {
             return Ok(());
         };
         let spine = self.spine_cfg.is_some();
-        Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
+        // Spine phase two is O(1) per stack: a fan-out would only add
+        // its spawns, so it never fans out. The ledger still charges it
+        // at the commit's worker count; that charge does not match the
+        // engine and is kept only so ledger output stays byte-identical.
+        let phase_two_workers = if spine { 1 } else { workers };
+        Self::for_each_stack(&mut self.stacks, phase_two_workers, |tid, stack| {
             let staged = stack.staging_sequence();
             if staged > sequence {
                 stack.discard_staging();
@@ -1043,14 +991,10 @@ impl PersistentProcess {
         obs.on(CommitEvent::Retire { sequence })
     }
 
-    /// Modelled cost of staging or applying `runs` for one thread.
-    fn runs_cost(runs: &[CopyRun], per_run_ns: u64, per_byte_ns: u64) -> u64 {
-        runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
-    }
-
-    /// Makespan of one parallel phase under work stealing, modelled as
-    /// greedy list scheduling in tid order (each task lands on the
-    /// least-loaded worker), plus a fixed dispatch overhead.
+    /// Virtual cost of one parallel phase: the makespan under work
+    /// stealing, modelled as greedy list scheduling in tid order (each
+    /// task lands on the least-loaded worker), plus a fixed dispatch
+    /// overhead.
     fn stolen_phase_cost(tids: &[u32], workers: usize, per_tid: impl Fn(u32) -> u64) -> u64 {
         let workers = workers.clamp(1, tids.len().max(1));
         let mut load = vec![0u64; workers];
@@ -1161,8 +1105,7 @@ impl PersistentProcess {
             bytes,
         });
         if sealed.is_some() {
-            let workers = Self::default_workers(self.stacks.len());
-            let _ = self.apply_record(workers, &());
+            let _ = self.apply_record(1, &());
         } else if self.pending.take().is_some() {
             // The commit never sealed: discard it wholesale.
             for stack in self.stacks.values_mut() {
@@ -1253,6 +1196,27 @@ mod tests {
     use super::*;
     use prosper_gemos::crash::CrashPlan;
     use prosper_memsim::addr::VirtAddr;
+
+    /// Virtual cost of staging or applying `runs` for one thread.
+    fn runs_cost(runs: &[CopyRun], per_run_ns: u64, per_byte_ns: u64) -> u64 {
+        runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
+    }
+
+    /// The virtual cost the stall ledger charges one clean eager commit
+    /// at `workers`: both parallel phases under work stealing, the seal
+    /// with its bookkeeping, and the register tail.
+    fn ledger_commit_ns(tids: &[u32], workers: usize, runs: &BTreeMap<u32, Vec<CopyRun>>) -> u64 {
+        let phase = |per_run: u64, per_byte: u64| {
+            PersistentProcess::stolen_phase_cost(tids, workers, |tid| {
+                runs_cost(&runs[&tid], per_run, per_byte)
+            })
+        };
+        phase(commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
+            + commit_cost::SEAL_NS
+            + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
+            + phase(commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
+            + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
+    }
 
     fn ranges(n: u64) -> Vec<VirtRange> {
         (0..n)
@@ -1548,57 +1512,119 @@ mod tests {
         }
     }
 
-    fn uniform_runs(tids: &[u32], count: usize, len: u64) -> BTreeMap<u32, Vec<CopyRun>> {
-        tids.iter()
-            .map(|&tid| {
-                (
-                    tid,
-                    (0..count)
-                        .map(|k| CopyRun {
-                            start: VirtAddr::new(0x7000_0000 + k as u64 * 0x1000),
-                            len,
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Satellite regression (PR 7): the adaptive selector must never
-    /// choose a multi-worker configuration whose modelled cost exceeds
-    /// serial — the regression BENCH_pr3.json recorded as w=2 running
-    /// at 0.85x serial and w=8 at 0.59x when `commit` fanned out
-    /// unconditionally.
+    /// Recycled staging and batch buffers never leak a stale tail: one
+    /// long run per stack, a merge (spine) or apply (eager), then
+    /// shorter and disjoint runs. After every commit the batch holds
+    /// exactly the staged bytes and the durable image equals the
+    /// volatile one; the last commit crashes right after its seal, so
+    /// recovery redoes exactly what was staged.
     #[test]
-    fn selector_never_picks_a_modelled_regression() {
-        for threads in [1usize, 2, 3, 8, 17] {
-            let tids: Vec<u32> = (0..threads as u32).collect();
-            for (count, len) in [(0usize, 0u64), (1, 16), (1, 64), (4, 256), (64, 4096)] {
-                let runs = uniform_runs(&tids, count, len);
-                let serial = PersistentProcess::modeled_commit_ns(&tids, 1, &runs, false);
-                for cap in [1usize, 2, 4, 8, 64] {
-                    let w = PersistentProcess::argmin_workers(cap, |w| {
-                        PersistentProcess::modeled_commit_ns(&tids, w, &runs, false)
-                    });
-                    let chosen = PersistentProcess::modeled_commit_ns(&tids, w, &runs, false);
-                    assert!(
-                        chosen <= serial,
-                        "threads={threads} count={count} len={len} cap={cap}: \
-                         selected w={w} costs {chosen} > serial {serial}"
-                    );
-                    if threads == 1 || cap == 1 {
-                        assert_eq!(w, 1, "no parallelism to exploit");
+    fn recycled_buffers_never_leak_stale_bytes() {
+        let rounds: [&[(u64, u64)]; 5] = [
+            &[(0, 0x8000)],
+            &[(0, 0x8000)],
+            &[(0x100, 0x40), (0x4000, 0x10)],
+            &[(0x2000, 8)],
+            &[(0x40, 0x20), (0x7f00, 0x100)],
+        ];
+        for spine in [false, true] {
+            for workers in [1usize, 2] {
+                let mut p = if spine {
+                    PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always())
+                } else {
+                    PersistentProcess::new(&ranges(2))
+                };
+                let ctx = format!("spine={spine} workers={workers}");
+                for (round, layout) in rounds.iter().enumerate() {
+                    let mut runs = BTreeMap::new();
+                    for tid in 0..2u32 {
+                        let base = p.stack(tid).range().start();
+                        let fill = 0xA0 + round as u8 + 0x10 * tid as u8;
+                        for &(off, len) in *layout {
+                            p.record_store(tid, base + off, &vec![fill; len as usize]);
+                        }
+                        let tid_runs: Vec<CopyRun> = layout
+                            .iter()
+                            .map(|&(off, len)| CopyRun {
+                                start: base + off,
+                                len,
+                            })
+                            .collect();
+                        runs.insert(tid, tid_runs);
+                    }
+                    let staged: u64 = layout.iter().map(|&(_, len)| len).sum();
+                    if round + 1 == rounds.len() {
+                        let mut inj = FaultInjector::at_site(CrashSite::PostSeal);
+                        p.commit_with(&runs, workers, &CrashWindows::new(&mut inj))
+                            .unwrap_err();
+                        for tid in 0..2u32 {
+                            assert_eq!(p.stack(tid).staged_bytes(), staged, "{ctx}");
+                        }
+                        break;
+                    }
+                    p.commit_with(&runs, workers, &()).unwrap();
+                    for tid in 0..2u32 {
+                        let stack = p.stack(tid);
+                        let r = stack.range();
+                        if let Some(batch) = stack.spine().last() {
+                            assert_eq!(batch.bytes(), staged, "{ctx} round {round}");
+                        }
+                        assert_eq!(
+                            stack.read_effective(r.start(), r.len() as usize),
+                            stack.volatile().read(r.start(), r.len() as usize),
+                            "{ctx} round {round} thread {tid}"
+                        );
                     }
                 }
+                let truth: Vec<Vec<u8>> = (0..2u32)
+                    .map(|tid| {
+                        let r = p.stack(tid).range();
+                        p.stack(tid).volatile().read(r.start(), r.len() as usize)
+                    })
+                    .collect();
+                p.crash();
+                assert_eq!(p.recover().unwrap().sequence, rounds.len() as u64, "{ctx}");
+                for tid in 0..2u32 {
+                    let r = p.stack(tid).range();
+                    assert_eq!(
+                        p.stack(tid).volatile().read(r.start(), r.len() as usize),
+                        truth[tid as usize],
+                        "{ctx} thread {tid}: recovered image"
+                    );
+                }
             }
-            // Tiny commits sit below the spawn break-even: serial wins
-            // even with parallelism available.
-            let tiny = uniform_runs(&tids, 1, 16);
-            let w = PersistentProcess::argmin_workers(8, |w| {
-                PersistentProcess::modeled_commit_ns(&tids, w, &tiny, false)
-            });
-            assert_eq!(w, 1, "threads={threads}: tiny commit must stay serial");
         }
+    }
+
+    /// Records the thread each spine batch append ran on.
+    #[derive(Default)]
+    struct AppendThreads(Mutex<Vec<std::thread::ThreadId>>);
+
+    impl CommitObserver for AppendThreads {
+        fn on(&self, event: CommitEvent) -> Result<(), CrashInjected> {
+            if let CommitEvent::BatchAppend { .. } = event {
+                if let Ok(mut ids) = self.0.lock() {
+                    ids.push(std::thread::current().id());
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Spine phase two does O(1) work per stack, so it runs on the
+    /// coordinator at any worker count; the ledger still charges it at
+    /// the commit's worker count.
+    #[test]
+    fn spine_phase_two_never_fans_out() {
+        let mut p = PersistentProcess::new_with_spine(&ranges(4), SpineConfig::lazy(64));
+        let tids = [0u32, 1, 2, 3];
+        let runs = full_runs(&p, &tids);
+        let threads = AppendThreads::default();
+        p.commit_with(&runs, 4, &threads).unwrap();
+        let ids = threads.0.into_inner().unwrap();
+        assert_eq!(ids.len(), 4, "one batch append per stack");
+        assert!(ids.iter().all(|&id| id == std::thread::current().id()));
+        assert_eq!(p.spine_batches(), 4);
     }
 
     /// Satellite regression (PR 7): the stage phase covers only
@@ -1619,7 +1645,7 @@ mod tests {
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
         let expected_stage = PersistentProcess::stolen_phase_cost(&tids, 1, |tid| {
-            PersistentProcess::runs_cost(
+            runs_cost(
                 &runs[&tid],
                 commit_cost::STAGE_RUN_NS,
                 commit_cost::STAGE_BYTE_NS,
@@ -1954,11 +1980,10 @@ mod tests {
         }
     }
 
-    /// A clean eager commit's ledger window is exactly the cost the
-    /// worker selector models for it, spawns aside: both charge each
-    /// phase once from `stolen_phase_cost`.
+    /// A clean eager commit's ledger window is exactly its virtual
+    /// model: each phase charged once from `stolen_phase_cost`.
     #[test]
-    fn clean_commit_window_matches_the_selector_model() {
+    fn clean_commit_window_matches_the_virtual_model() {
         let tids = [0u32, 1, 2];
         for workers in [1usize, 2, 3] {
             let mut p = PersistentProcess::new(&ranges(3));
@@ -1984,8 +2009,7 @@ mod tests {
                 .unwrap();
             let snap = acct.snapshot();
             snap.verify_conservation().unwrap();
-            let modelled = PersistentProcess::modeled_commit_ns(&tids, workers, &runs, false)
-                - 2 * PersistentProcess::spawn_cost(workers);
+            let modelled = ledger_commit_ns(&tids, workers, &runs);
             for w in &snap.windows {
                 assert_eq!(w.duration_ns(), modelled, "workers={workers}");
             }

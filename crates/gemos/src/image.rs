@@ -13,6 +13,9 @@ use prosper_memsim::addr::{VirtAddr, VirtRange};
 /// Granularity of internal chunks (one 4 KiB page per chunk).
 const CHUNK: u64 = 4096;
 
+/// One chunk's worth of zeros: what an unwritten chunk reads as.
+const ZEROS: [u8; CHUNK as usize] = [0; CHUNK as usize];
+
 /// A sparse, byte-addressable memory image.
 ///
 /// Unwritten bytes read as zero, matching demand-zeroed anonymous
@@ -20,6 +23,22 @@ const CHUNK: u64 = 4096;
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct MemoryImage {
     chunks: BTreeMap<u64, Box<[u8; CHUNK as usize]>>,
+}
+
+/// Splits `[pos, pos + len)` at chunk boundaries into
+/// `(chunk id, offset in chunk, bytes)` pieces.
+fn pieces(pos: u64, len: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = pos + len;
+    let mut at = pos;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let off = at % CHUNK;
+            let take = (end - at).min(CHUNK - off);
+            let piece = (at / CHUNK, off as usize, take as usize);
+            at += take;
+            piece
+        })
+    })
 }
 
 impl MemoryImage {
@@ -34,16 +53,17 @@ impl MemoryImage {
             .or_insert_with(|| Box::new([0u8; CHUNK as usize]))
     }
 
+    /// The `take` bytes at `off` of chunk `id`, zeros if it is unwritten.
+    fn slice(&self, id: u64, off: usize, take: usize) -> &[u8] {
+        let chunk = self.chunks.get(&id).map_or(&ZEROS, |c| &**c);
+        &chunk[off..off + take]
+    }
+
     /// Writes `bytes` starting at `addr`.
     pub fn write(&mut self, addr: VirtAddr, bytes: &[u8]) {
-        let mut pos = addr.raw();
         let mut remaining = bytes;
-        while !remaining.is_empty() {
-            let id = pos / CHUNK;
-            let off = (pos % CHUNK) as usize;
-            let take = remaining.len().min(CHUNK as usize - off);
+        for (id, off, take) in pieces(addr.raw(), bytes.len() as u64) {
             self.chunk_mut(id)[off..off + take].copy_from_slice(&remaining[..take]);
-            pos += take as u64;
             remaining = &remaining[take..];
         }
     }
@@ -51,20 +71,18 @@ impl MemoryImage {
     /// Reads `len` bytes starting at `addr`.
     pub fn read(&self, addr: VirtAddr, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let mut pos = addr.raw();
-        let mut remaining = len;
-        while remaining > 0 {
-            let id = pos / CHUNK;
-            let off = (pos % CHUNK) as usize;
-            let take = remaining.min(CHUNK as usize - off);
-            match self.chunks.get(&id) {
-                Some(chunk) => out.extend_from_slice(&chunk[off..off + take]),
-                None => out.extend(std::iter::repeat_n(0u8, take)),
-            }
-            pos += take as u64;
-            remaining -= take;
-        }
+        self.read_into(addr, len, &mut out);
         out
+    }
+
+    /// Appends the `len` bytes starting at `addr` to `out`: [`Self::read`]
+    /// into a caller-owned buffer, so a recycled buffer is refilled
+    /// without a fresh allocation.
+    pub fn read_into(&self, addr: VirtAddr, len: usize, out: &mut Vec<u8>) {
+        out.reserve(len);
+        for (id, off, take) in pieces(addr.raw(), len as u64) {
+            out.extend_from_slice(self.slice(id, off, take));
+        }
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -79,41 +97,34 @@ impl MemoryImage {
     }
 
     /// Copies `len` bytes at `addr` from `src` into `self` (same
-    /// addresses) — the checkpoint copy primitive.
+    /// addresses) — the checkpoint copy primitive. Copies chunk to
+    /// chunk; an unwritten source chunk copies as zeros.
     pub fn copy_range_from(&mut self, src: &MemoryImage, addr: VirtAddr, len: usize) {
-        let data = src.read(addr, len);
-        self.write(addr, &data);
+        for (id, off, take) in pieces(addr.raw(), len as u64) {
+            self.chunk_mut(id)[off..off + take].copy_from_slice(src.slice(id, off, take));
+        }
     }
 
     /// Returns `true` if `self` and `other` agree over `range`.
     pub fn matches(&self, other: &MemoryImage, range: VirtRange) -> bool {
-        // Compare chunk by chunk to stay cheap on sparse images.
-        let mut pos = range.start().raw();
-        let end = range.end().raw();
-        while pos < end {
-            let take = ((end - pos).min(CHUNK - pos % CHUNK)) as usize;
-            if self.read(VirtAddr::new(pos), take) != other.read(VirtAddr::new(pos), take) {
-                return false;
-            }
-            pos += take as u64;
-        }
-        true
+        self.first_mismatch(other, range).is_none()
     }
 
     /// First differing address within `range`, if any (for diagnostics).
+    /// Compares the chunk slices in place, chunk by chunk, so it stays
+    /// cheap on sparse images and allocates nothing.
     pub fn first_mismatch(&self, other: &MemoryImage, range: VirtRange) -> Option<VirtAddr> {
-        let mut pos = range.start().raw();
-        let end = range.end().raw();
-        while pos < end {
-            let take = ((end - pos).min(CHUNK - pos % CHUNK)) as usize;
-            let a = self.read(VirtAddr::new(pos), take);
-            let b = other.read(VirtAddr::new(pos), take);
-            if let Some(i) = a.iter().zip(&b).position(|(x, y)| x != y) {
-                return Some(VirtAddr::new(pos + i as u64));
+        let start = range.start().raw();
+        pieces(start, range.end().raw().saturating_sub(start)).find_map(|(id, off, take)| {
+            let (a, b) = (self.slice(id, off, take), other.slice(id, off, take));
+            if a == b {
+                return None;
             }
-            pos += take as u64;
-        }
-        None
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x != y)
+                .map(|i| VirtAddr::new(id * CHUNK + (off + i) as u64))
+        })
     }
 
     /// Number of materialised 4 KiB chunks (diagnostics).
@@ -175,6 +186,47 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x3000), VirtAddr::new(0x3010));
         assert!(!a.matches(&b, range));
         assert_eq!(a.first_mismatch(&b, range), Some(VirtAddr::new(0x3005)));
+    }
+
+    #[test]
+    fn read_into_appends_and_reads_missing_chunks_as_zero() {
+        let mut img = MemoryImage::new();
+        img.write(VirtAddr::new(CHUNK - 2), &[7, 8]);
+        let mut buf = vec![1u8];
+        img.read_into(VirtAddr::new(CHUNK - 3), 5, &mut buf);
+        assert_eq!(buf, vec![1, 0, 7, 8, 0, 0]);
+        // A recycled buffer refills to exactly the requested bytes.
+        buf.clear();
+        img.read_into(VirtAddr::new(3 * CHUNK), 3, &mut buf);
+        assert_eq!(buf, vec![0; 3]);
+        assert_eq!(img.resident_chunks(), 1, "reads materialise nothing");
+    }
+
+    #[test]
+    fn missing_chunks_compare_as_zeros() {
+        let mut a = MemoryImage::new();
+        let b = MemoryImage::new();
+        // A written-but-zero chunk matches an unwritten one.
+        a.write(VirtAddr::new(0x1000), &[0; 16]);
+        let range = VirtRange::new(VirtAddr::new(0), VirtAddr::new(3 * CHUNK));
+        assert!(a.matches(&b, range));
+        assert!(b.matches(&a, range));
+        a.write(VirtAddr::new(2 * CHUNK + 9), &[1]);
+        assert_eq!(
+            b.first_mismatch(&a, range),
+            Some(VirtAddr::new(2 * CHUNK + 9))
+        );
+    }
+
+    #[test]
+    fn copy_range_spans_chunks_and_copies_holes_as_zeros() {
+        let mut src = MemoryImage::new();
+        src.write(VirtAddr::new(CHUNK - 4), &[5; 8]);
+        let mut dst = MemoryImage::new();
+        dst.write(VirtAddr::new(2 * CHUNK), &[9; 4]);
+        dst.copy_range_from(&src, VirtAddr::new(CHUNK - 4), CHUNK as usize + 8);
+        let range = VirtRange::new(VirtAddr::new(0), VirtAddr::new(3 * CHUNK));
+        assert!(dst.matches(&src, range), "the hole overwrote the 9s");
     }
 
     #[test]
